@@ -117,6 +117,7 @@ class SpatialOverlap:
 
     scaled_value = e^{pi Om/(2 alpha)} J stays O(1) where J itself underflows;
     value = scaled_value * e^{scale_log} and may underflow to 0.0 harmlessly.
+    converged is False when the quadrature stopped short of its tolerance.
     """
 
     value: float
@@ -124,6 +125,7 @@ class SpatialOverlap:
     scale_log: float
     error_estimate: float
     evaluations: int
+    converged: bool
 
 
 def spatial_overlap(Omega: float, geometry: CavityGeometry, M: float,
@@ -149,7 +151,8 @@ def spatial_overlap(Omega: float, geometry: CavityGeometry, M: float,
     scale_log = -0.5 * math.pi * nu
     err = res.error_estimate + abs(res.value) * worst_est[0]
     value = res.value * math.exp(scale_log)  # exp underflows to 0.0 harmlessly
-    return SpatialOverlap(value, res.value, scale_log, err, res.evaluations)
+    return SpatialOverlap(value, res.value, scale_log, err, res.evaluations,
+                          res.converged)
 
 
 def _overlap_cfg(cfg: QuadratureConfig | None) -> QuadratureConfig:
@@ -181,12 +184,14 @@ def decay_probability_accelerated(geometry: CavityGeometry, fields: FieldParams,
     budget = cfg.abs_tol / pref
     overlap_est = [0.0]
     overlap_evals = [0]
+    overlaps_converged = [True]
 
     def point(om: float) -> float:
         ov = spatial_overlap(om, geometry, M, inner)
         overlap_est[0] = max(overlap_est[0], ov.error_estimate /
                              max(abs(ov.scaled_value), 1e-300))
         overlap_evals[0] += ov.evaluations
+        overlaps_converged[0] = overlaps_converged[0] and ov.converged
         js2 = ov.scaled_value * ov.scaled_value
         therm = math.exp(-2.0 * math.pi * om / alpha)
         return js2 * (resonance_kernel(om - w1, tau)
@@ -213,7 +218,8 @@ def decay_probability_accelerated(geometry: CavityGeometry, fields: FieldParams,
     return DecayResult(lam2_pref * res.value, "probability", err, regime,
                        {"evaluations": res.evaluations,
                         "overlap_evaluations": overlap_evals[0],
-                        "omega_cutoff": om_hi, "converged": res.converged,
+                        "omega_cutoff": om_hi,
+                        "converged": res.converged and overlaps_converged[0],
                         "worst_overlap_rel_est": overlap_est[0]})
 
 
@@ -230,7 +236,8 @@ def decay_rate_accelerated_longtime(geometry: CavityGeometry, fields: FieldParam
     rel = ov.error_estimate / max(abs(ov.scaled_value), 1e-300)
     return DecayResult(rate, "rate", 2.0 * rel * rate, REGIME_LONG,
                        {"overlap_evaluations": ov.evaluations,
-                        "scaled_overlap": ov.scaled_value})
+                        "scaled_overlap": ov.scaled_value,
+                        "converged": ov.converged})
 
 
 def averaged_decay_rate(geometry: CavityGeometry, fields: FieldParams,
@@ -244,17 +251,20 @@ def averaged_decay_rate(geometry: CavityGeometry, fields: FieldParams,
     window = window or AveragingWindow(geometry.alpha)
     rates = []
     errs = []
+    converged = True
     for a in window.alphas():
         g = cavity_geometry(geometry.l, float(a))
         r = decay_rate_accelerated_longtime(g, fields, cfg)
         rates.append(r.value)
         errs.append(r.error_estimate)
+        converged = converged and r.diagnostics["converged"]
     value = float(np.mean(rates))
     return DecayResult(value, "rate", float(np.mean(errs)), REGIME_LONG,
                        {"alpha_window": (float(window.alphas()[0]), float(window.alphas()[-1])),
                         "samples": window.samples,
                         "rate_min": float(np.min(rates)),
-                        "rate_max": float(np.max(rates))})
+                        "rate_max": float(np.max(rates)),
+                        "converged": converged})
 
 
 def ideal_clock_deviation(geometry: CavityGeometry, fields: FieldParams,

@@ -185,7 +185,7 @@ def _evaluate(args: argparse.Namespace, overrides: dict) -> dict:
         acc = accelerated.averaged_decay_rate(geom, fields, window, cfg)
         dev = acc.value / stat.value - 1.0
         err = (acc.error_estimate + stat.error_estimate) / stat.value
-        result = DecayResult(dev, "deviation", err, REGIME_LONG, {})
+        result = DecayResult(dev, "deviation", err, REGIME_LONG, acc.diagnostics)
         alpha_out = alpha
     else:  # pragma: no cover
         raise ValueError(f"unknown mode {mode}")

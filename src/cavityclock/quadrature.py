@@ -7,8 +7,8 @@ need guarantees quad does not give:
 * declared removable singularities are placed on panel boundaries and are
   therefore never sampled (Kronrod nodes are interior),
 * resonance peaks of width ~1/t are pre-split before refinement starts,
-* results are bitwise deterministic for a fixed config (panel contributions
-  are reduced in left-endpoint order),
+* results are bitwise deterministic for a fixed config (panel values and
+  errors are summed exactly, so their order does not matter),
 * evaluation counts and a converged flag are reported.
 
 Integrands are called with a 1-D numpy array of abscissae and should return an
@@ -124,6 +124,25 @@ def _panel(fv: np.ndarray, a: float, b: float) -> tuple[float, float]:
     return value, err
 
 
+def _add_exact(partials: list[float], xs) -> None:
+    """Add the numbers xs to a sum held as Shewchuk's non-overlapping
+    partials, the error-free scheme math.fsum runs internally:
+    math.fsum(partials) is then the correctly rounded sum of everything
+    added, in any order."""
+    for x in xs:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+
+
 def _breakpoints(a: float, b: float, cfg: QuadratureConfig) -> list[float]:
     pts = {a, b}
     for s in cfg.singular_points:
@@ -171,7 +190,7 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
     evaluations = 0
     heap: list[tuple[float, float, float, float, float]] = []  # (-err, a, b, value, err)
 
-    def add_panel(lo: float, hi: float):
+    def add_panel(lo: float, hi: float) -> tuple[float, float]:
         nonlocal evaluations
         xs = 0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo)
         fv = fvec(xs)
@@ -182,36 +201,40 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
             raise IntegrandError(f"non-finite integrand value at x = {x_bad!r}")
         value, err = _panel(fv, lo, hi)
         heapq.heappush(heap, (-err, lo, hi, value, err))
+        return value, err
 
     pts = _breakpoints(a, b, cfg)
     for lo, hi in zip(pts[:-1], pts[1:]):
         add_panel(lo, hi)
 
+    # exact running sums of the heap's panel values and errors (see _add_exact)
+    values: list[float] = []
+    errors: list[float] = []
+    _add_exact(values, [item[3] for item in heap])
+    _add_exact(errors, [item[4] for item in heap])
     subdivisions = 0
     while True:
-        total = math.fsum(item[3] for item in heap)
-        total_err = math.fsum(item[4] for item in heap)
+        total = math.fsum(values)
+        total_err = math.fsum(errors)
         if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
             converged = True
             break
         if subdivisions >= cfg.max_subdivisions:
             converged = False
             break
-        neg_err, lo, hi, _value, _err = heapq.heappop(heap)
+        _neg_err, lo, hi, value, err = heap[0]
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            # interval at machine resolution; put it back and give up
-            heapq.heappush(heap, (neg_err, lo, hi, _value, _err))
+            # interval at machine resolution; give up
             converged = False
             break
-        add_panel(lo, mid)
-        add_panel(mid, hi)
+        heapq.heappop(heap)
+        (v_lo, e_lo), (v_hi, e_hi) = add_panel(lo, mid), add_panel(mid, hi)
+        _add_exact(values, (-value, v_lo, v_hi))
+        _add_exact(errors, (-err, e_lo, e_hi))
         subdivisions += 1
 
-    panels = sorted(heap, key=lambda item: item[1])
-    value = math.fsum(p[3] for p in panels)
-    error = math.fsum(p[4] for p in panels)
-    return IntegralResult(value, error, evaluations, converged)
+    return IntegralResult(total, total_err, evaluations, converged)
 
 
 def integrate_resonant(f: Callable, a: float, b: float,

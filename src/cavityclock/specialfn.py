@@ -49,7 +49,6 @@ from .errors import SpecialFunctionRangeError
 
 EULER_GAMMA = 0.5772156649015328606
 DEFAULT_BESSEL_TOL = 1e-10
-CROSS_CHECK_TOL = 1e-8
 
 _LOG_MAX = math.log(np.finfo(float).max)          # ~709.78
 _LOG_MIN = math.log(np.finfo(float).tiny)         # ~-708.40
@@ -87,6 +86,12 @@ def _debye_coefficients(kmax: int) -> list[list[float]]:
 
 _CKJ = _debye_coefficients(10)
 _DEBYE_TERMS = 9
+# the batched oscillatory branch: u_k coefficients zero-padded to one
+# (order x power) table, each row times the sign (-1)^(k//2) u_k enters with
+# (a negated Horner sequence is the exact negation of the original)
+_DEBYE_TABLE = np.array([[-c if (k // 2) % 2 else c for c in row]
+                         + [0.0] * (_DEBYE_TERMS - len(row))
+                         for k, row in enumerate(_CKJ[:_DEBYE_TERMS])])
 
 
 @dataclass(frozen=True)
@@ -324,6 +329,14 @@ def bessel_k_scaled_values(nu: float, x: np.ndarray,
     Used by the spatial-overlap quadratures where one panel shares nu.  Points
     outside the vectorizable comfort zones fall back to the scalar selector.
     Returns (values, worst relative error estimate).
+
+    Each vectorized branch works on one (term x point) array.  The power
+    series takes as many terms as its largest argument needs (r_k grows with
+    x), forms the r_k by a cumulative product and sums the terms by a
+    cumulative sum along the term axis; the oscillatory Debye branch runs
+    Horner's rule for all u_k at once on a zero-padded coefficient table.
+    Both keep the term-by-term order of the scalar recurrences, so the
+    values do not depend on how many points share a call.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
@@ -364,17 +377,29 @@ def bessel_k_scaled_values(nu: float, x: np.ndarray,
             theta0, lpref = _series_setup(nu)
             L = np.log(0.5 * xs)
             phi = nu * L
-            r = np.ones_like(xs)
-            th = theta0
-            total = np.sin(phi + th)
-            abssum = np.ones_like(xs)
+            q = 0.25 * xs * xs
+            # r_k = prod_{j<=k} q / d_j grows with x, so the largest q alone
+            # fixes the last term: the first k > 3 with r_k below 1e-17
+            r_top = 1.0
+            qmax = float(q.max())
+            divisors, phases = [], [theta0]
             for k in range(1, 600):
-                r *= (0.25 * xs * xs) / (k * math.hypot(k, nu))
-                th -= math.atan2(nu, k)
-                total += r * np.sin(phi + th)
-                abssum += r
-                if r.max() < 1e-17 and k > 3:
+                d = k * math.hypot(k, nu)
+                r_top *= qmax / d
+                divisors.append(d)
+                phases.append(phases[-1] - math.atan2(nu, k))
+                if r_top < 1e-17 and k > 3:
                     break
+            # term x point: cumulative products and sums along the term axis
+            # keep the order of the term-by-term recurrence (a sum along an
+            # axis may be reduced pairwise)
+            r = np.empty((len(phases), xs.size))
+            r[0] = 1.0
+            np.divide(q, np.array(divisors)[:, None], out=r[1:])
+            np.multiply.accumulate(r, axis=0, out=r)
+            terms = r * np.sin(phi + np.array(phases)[:, None])
+            total = np.add.accumulate(terms, axis=0)[-1]
+            abssum = np.add.accumulate(r, axis=0)[-1]
             out[ser] = -math.exp(lpref) * total
             denom = np.maximum(np.abs(total), 1e-300)
             worst = max(worst, float((4.0 * _EPS * abssum / denom).max()))
@@ -383,19 +408,15 @@ def bessel_k_scaled_values(nu: float, x: np.ndarray,
         w = np.sqrt((nu - xs) * (nu + xs))
         theta = np.arccosh(nu / xs)
         p2 = (nu / w) ** 2
-        s_even = np.zeros_like(xs)
-        s_odd = np.zeros_like(xs)
-        last = np.ones_like(xs)
-        for k in range(_DEBYE_TERMS):
-            s = np.zeros_like(xs)
-            for j in range(k, -1, -1):
-                s = s * p2 + _CKJ[k][j]
-            uk = s / w**k
-            if k % 2 == 0:
-                s_even += (-1.0 if (k // 2) % 2 else 1.0) * uk
-            else:
-                s_odd += (-1.0 if ((k - 1) // 2) % 2 else 1.0) * uk
-            last = np.abs(uk)
+        # Horner for all orders at once; an order's leading zeros keep s = 0
+        s = np.zeros((_DEBYE_TERMS, xs.size))
+        for j in range(_DEBYE_TERMS - 1, -1, -1):
+            s = s * p2 + _DEBYE_TABLE[:, j:j + 1]
+        # w**k row by row: numpy squares for k = 2 but calls pow otherwise
+        u = s / np.array([w**k for k in range(_DEBYE_TERMS)])
+        s_even = np.add.accumulate(u[0::2], axis=0)[-1]
+        s_odd = np.add.accumulate(u[1::2], axis=0)[-1]
+        last = np.abs(u[-1])
         psi = nu * theta - w - 0.25 * math.pi
         val = s_even * np.cos(psi) - s_odd * np.sin(psi)
         out[osc] = np.sqrt(2.0 * math.pi / w) * val

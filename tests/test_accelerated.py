@@ -257,3 +257,42 @@ class TestDeviation:
         g = cavity_geometry(1.0, 0.3)
         with pytest.raises(UndefinedRatioError):
             ideal_clock_deviation(g, FieldParams(M=4.0))
+
+
+class TestConvergenceFlag:
+    # one subdivision cannot reach a 1e-14 tolerance; every level must say so
+    TIGHT = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=1)
+
+    def test_overlap(self):
+        assert spatial_overlap(G_HALF.omega1, G_HALF, 1.0).converged is True
+        assert spatial_overlap(G_HALF.omega1, G_HALF, 1.0, self.TIGHT).converged is False
+
+    def test_longtime_rate(self):
+        assert decay_rate_accelerated_longtime(G_HALF, FIELDS).diagnostics["converged"] is True
+        r = decay_rate_accelerated_longtime(G_HALF, FIELDS, self.TIGHT)
+        assert r.diagnostics["converged"] is False
+
+    def test_averaged_rate(self):
+        window = AveragingWindow(0.5, 0.05, 8)
+        assert averaged_decay_rate(G_HALF, FIELDS, window).diagnostics["converged"] is True
+        r = averaged_decay_rate(G_HALF, FIELDS, window, self.TIGHT)
+        assert r.diagnostics["converged"] is False
+
+    def test_probability_ands_inner_overlaps(self, monkeypatch):
+        # a loose abs_tol lets the outer Omega integral converge at once, so
+        # only the inner overlaps can report the failure
+        from cavityclock import accelerated
+        outer = []
+        integrate = accelerated.integrate
+
+        def recording(f, a, b, cfg=None):
+            res = integrate(f, a, b, cfg)
+            if cfg is not None and cfg.resonance_points:
+                outer.append(res.converged)
+            return res
+
+        monkeypatch.setattr(accelerated, "integrate", recording)
+        cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1.0, max_subdivisions=1)
+        p = decay_probability_accelerated(G_HALF, FIELDS, 5.0, cfg)
+        assert outer == [True]
+        assert p.diagnostics["converged"] is False

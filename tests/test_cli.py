@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import math
 import subprocess
@@ -7,8 +8,8 @@ import sys
 import pytest
 
 from cavityclock import accelerated, quadrature
-from cavityclock.cli import (CSV_COLUMNS, EXIT_OK, EXIT_VALIDATION,
-                             build_parser, main)
+from cavityclock.cli import (CSV_COLUMNS, EXIT_NUMERICAL, EXIT_OK,
+                             EXIT_VALIDATION, build_parser, main)
 from cavityclock.verify import run_checks
 
 
@@ -81,6 +82,24 @@ class TestRunPoint:
         row = dict(zip(parse_csv(out)[0], parse_csv(out)[1][0]))
         assert row["value_kind"] == "deviation"
         assert float(row["value"]) == pytest.approx(0.674248, rel=1e-4)
+
+
+class TestConvergenceGuard:
+    @pytest.mark.parametrize("args", [
+        ["accelerated", "--l", "1", "--mass", "1", "--alpha", "0.5", "--rate"],
+        ["accelerated", "--l", "1", "--mass", "1", "--alpha", "0.5", "--rate",
+         "--averaged", "--avg-samples", "8"],
+        ["deviation", "--l", "1", "--mass", "1", "--alpha", "0.5", "--avg-samples", "8"],
+    ], ids=["rate", "averaged", "deviation"])
+    def test_unconverged_overlap_is_numerical_failure(self, monkeypatch, args):
+        # one subdivision cannot reach rel_tol 1e-14 in the cavity overlap
+        from cavityclock import cli
+        monkeypatch.setattr(cli, "QuadratureConfig",
+                            functools.partial(quadrature.QuadratureConfig, max_subdivisions=1))
+        code, out, err = run_cli(args + ["--rel-tol", "1e-14"])
+        assert code == EXIT_NUMERICAL
+        assert "did not converge" in err
+        assert out == ""
 
 
 class TestSweep:

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavityclock.errors import IntegrandError
-from cavityclock.quadrature import (QuadratureConfig, integrate,
-                                    integrate_resonant, truncation_point)
+from cavityclock.quadrature import (_NODES, QuadratureConfig, _breakpoints, _panel,
+                                    integrate, integrate_resonant, truncation_point)
 from cavityclock.specialfn import resonance_kernel
 
 
@@ -46,6 +47,55 @@ class TestBasics:
     def test_evaluation_count_reported(self):
         r = integrate(lambda x: x, 0.0, 1.0)
         assert r.evaluations >= 15 and r.evaluations % 15 == 0
+
+
+def resumming_reference(f, a, b, cfg):
+    """integrate() as it was before running sums: every panel re-summed on
+    each step and the result summed in left-endpoint order."""
+    heap = []
+
+    def add_panel(lo, hi):
+        xs = 0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo)
+        value, err = _panel(f(xs), lo, hi)
+        heapq.heappush(heap, (-err, lo, hi, value, err))
+
+    pts = _breakpoints(a, b, cfg)
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        add_panel(lo, hi)
+    subdivisions = 0
+    while True:
+        total = math.fsum(item[3] for item in heap)
+        total_err = math.fsum(item[4] for item in heap)
+        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+            converged = True
+            break
+        if subdivisions >= cfg.max_subdivisions:
+            converged = False
+            break
+        _neg_err, lo, hi, _value, _err = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        add_panel(lo, mid)
+        add_panel(mid, hi)
+        subdivisions += 1
+    panels = sorted(heap, key=lambda item: item[1])
+    return (math.fsum(p[3] for p in panels), math.fsum(p[4] for p in panels),
+            15 * len(pts) - 15 + 30 * subdivisions, converged)
+
+
+class TestRunningSums:
+    @pytest.mark.parametrize("rel_tol, max_subdivisions", [(1e-12, 20_000), (1e-16, 60)])
+    def test_identical_to_resumming_every_step(self, rel_tol, max_subdivisions):
+        # hundreds of panels of very different sizes and signs: the running
+        # sums must give the same bits as re-summing the heap on every step
+        def f(x):
+            return np.sin(40.0 * x) / ((x - 0.3) ** 2 + 1e-7) + 1e-9 * np.cos(x)
+
+        cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
+        r = integrate(f, -1.0, 2.0, cfg)
+        ref = resumming_reference(f, -1.0, 2.0, cfg)
+        assert (r.value.hex(), r.error_estimate.hex(), r.evaluations, r.converged) == \
+            (ref[0].hex(), ref[1].hex(), ref[2], ref[3])
+        assert r.evaluations > 100 * 15
 
 
 class TestResonant:
