@@ -168,14 +168,19 @@ def _breakpoints(a: float, b: float, cfg: QuadratureConfig) -> list[float]:
     return kept
 
 
-def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """Integrate f over [a, b]; b may be math.inf if cfg.domain_cutoff is set.
+def _checked_panel(xs: np.ndarray, fv: np.ndarray, a: float, b: float) -> tuple[float, float]:
+    """_panel() of the values fv at the abscissae xs, refusing non-finite values."""
+    if not np.isfinite(fv).all():
+        x_bad = float(xs[int(np.argmin(np.isfinite(fv)))])
+        raise IntegrandError(f"non-finite integrand value at x = {x_bad!r}")
+    return _panel(fv, a, b)
 
-    Returns the best estimate with converged=False when the tolerance was not
-    reached within max_subdivisions.  Non-finite samples abort with
-    IntegrandError naming the abscissa (declared singular points are never
-    sampled, so they cannot trigger this).
-    """
+
+def _adaptive(a: float, b: float, cfg: QuadratureConfig | None):
+    """The adaptive loop as a generator.  It yields the abscissae of the
+    panels it needs next as a list of 15-point arrays, one per panel, takes
+    the integrand's values back as a sequence of arrays in the same order,
+    and returns the IntegralResult.  integrate() and integrate_rows() drive it."""
     cfg = cfg or QuadratureConfig()
     if math.isinf(b):
         if cfg.domain_cutoff is None:
@@ -186,26 +191,13 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
             return IntegralResult(0.0, 0.0, 0, True)
         raise ValueError("integration limits must satisfy a <= b")
 
-    fvec = _as_vector_fn(f)
-    evaluations = 0
-    heap: list[tuple[float, float, float, float, float]] = []  # (-err, a, b, value, err)
-
-    def add_panel(lo: float, hi: float) -> tuple[float, float]:
-        nonlocal evaluations
-        xs = 0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo)
-        fv = fvec(xs)
-        evaluations += xs.size
-        bad = ~np.isfinite(fv)
-        if bad.any():
-            x_bad = float(xs[int(np.argmax(bad))])
-            raise IntegrandError(f"non-finite integrand value at x = {x_bad!r}")
-        value, err = _panel(fv, lo, hi)
-        heapq.heappush(heap, (-err, lo, hi, value, err))
-        return value, err
-
     pts = _breakpoints(a, b, cfg)
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        add_panel(lo, hi)
+    xss = [0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo) for lo, hi in zip(pts[:-1], pts[1:])]
+    fvs = yield xss
+    heap: list[tuple[float, float, float, float, float]] = []  # (-err, a, b, value, err)
+    for lo, hi, xs, fv in zip(pts[:-1], pts[1:], xss, fvs):
+        value, err = _checked_panel(xs, fv, lo, hi)
+        heapq.heappush(heap, (-err, lo, hi, value, err))
 
     # exact running sums of the heap's panel values and errors (see _add_exact)
     values: list[float] = []
@@ -229,23 +221,69 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
             converged = False
             break
         heapq.heappop(heap)
-        (v_lo, e_lo), (v_hi, e_hi) = add_panel(lo, mid), add_panel(mid, hi)
+        xs_lo = 0.5 * (mid - lo) * _NODES + 0.5 * (mid + lo)
+        xs_hi = 0.5 * (hi - mid) * _NODES + 0.5 * (hi + mid)
+        fv_lo, fv_hi = yield [xs_lo, xs_hi]
+        v_lo, e_lo = _checked_panel(xs_lo, fv_lo, lo, mid)
+        v_hi, e_hi = _checked_panel(xs_hi, fv_hi, mid, hi)
+        heapq.heappush(heap, (-e_lo, lo, mid, v_lo, e_lo))
+        heapq.heappush(heap, (-e_hi, mid, hi, v_hi, e_hi))
         _add_exact(values, (-value, v_lo, v_hi))
         _add_exact(errors, (-err, e_lo, e_hi))
         subdivisions += 1
 
+    evaluations = _NODES.size * (len(pts) - 1 + 2 * subdivisions)
     return IntegralResult(total, total_err, evaluations, converged)
 
 
-def integrate_resonant(f: Callable, a: float, b: float,
-                       resonance: tuple[float, float],
-                       cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """integrate() with the domain pre-split around one resonance peak."""
-    cfg = cfg or QuadratureConfig()
-    center, width = resonance
-    if width <= 0:
-        raise ValueError("resonance width must be positive")
-    return integrate(f, a, b, cfg.with_resonance(center, width))
+def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = None) -> IntegralResult:
+    """Integrate f over [a, b]; b may be math.inf if cfg.domain_cutoff is set.
+
+    Returns the best estimate with converged=False when the tolerance was not
+    reached within max_subdivisions.  Non-finite samples abort with
+    IntegrandError naming the abscissa (declared singular points are never
+    sampled, so they cannot trigger this).  f gets one panel's 15 abscissae
+    per call.
+    """
+    fvec = _as_vector_fn(f)
+    loop = _adaptive(a, b, cfg)
+    try:
+        xss = next(loop)
+        while True:
+            xss = loop.send([fvec(xs) for xs in xss])
+    except StopIteration as done:
+        return done.value
+
+
+def integrate_rows(f: Callable, intervals, cfg: QuadratureConfig | None = None) -> list[IntegralResult]:
+    """integrate() over many intervals in lockstep, with one call of f per
+    round: f(ids, xs) gets the (panels x 15) abscissae that the unfinished
+    integrals need next, ids[p] naming the interval of panel p, and returns
+    the values in that shape.  Each integral takes the steps integrate()
+    takes, so its result is integrate()'s whenever f's value at a panel does
+    not depend on the other panels of the call.
+    """
+    loops = [_adaptive(a, b, cfg) for a, b in intervals]
+    results: list[IntegralResult | None] = [None] * len(loops)
+    pending = {}
+    for i, loop in enumerate(loops):
+        try:
+            pending[i] = next(loop)
+        except StopIteration as done:
+            results[i] = done.value
+    while pending:
+        ids = np.repeat(list(pending), [len(xss) for xss in pending.values()])
+        fv = np.asarray(f(ids, np.array([xs for xss in pending.values() for xs in xss])),
+                        dtype=float)
+        start, waiting = 0, {}
+        for i, xss in pending.items():
+            try:
+                waiting[i] = loops[i].send(fv[start:start + len(xss)])
+            except StopIteration as done:
+                results[i] = done.value
+            start += len(xss)
+        pending = waiting
+    return results
 
 
 def truncation_point(tail_bound: Callable[[float], float], start: float,

@@ -322,112 +322,204 @@ def bessel_k_imag_order(nu: float, x: float, tol: float = DEFAULT_BESSEL_TOL) ->
     return BesselEval(value, abs(value) * ev.rel_error_estimate, ev.method)
 
 
-def bessel_k_scaled_values(nu: float, x: np.ndarray,
-                           tol: float = DEFAULT_BESSEL_TOL) -> tuple[np.ndarray, float]:
-    """Vectorized e^{pi nu/2} K_{i nu}(x) over an array of arguments, one order.
+# terms per block of the batched series (see _series_rows)
+_SERIES_BLOCK = 16
 
-    Used by the spatial-overlap quadratures where one panel shares nu.  Points
-    outside the vectorizable comfort zones fall back to the scalar selector.
-    Returns (values, worst relative error estimate).
 
-    Each vectorized branch works on one (term x point) array.  The power
-    series takes as many terms as its largest argument needs (r_k grows with
-    x), forms the r_k by a cumulative product and sums the terms by a
-    cumulative sum along the term axis; the oscillatory Debye branch runs
-    Horner's rule for all u_k at once on a zero-padded coefficient table.
-    Both keep the term-by-term order of the scalar recurrences, so the
-    values do not depend on how many points share a call.
+def _k0_series(xs: np.ndarray) -> tuple[np.ndarray, float]:
+    """The K_0 limit (nu < 1e-8) of the series on one row's points: the
+    values and their worst relative error estimate."""
+    L = np.log(0.5 * xs)
+    r = np.ones_like(xs)
+    total = -(L + EULER_GAMMA)
+    abssum = np.abs(total)
+    hk = 0.0
+    for k in range(1, 400):
+        r *= (0.25 * xs * xs) / (k * k)
+        hk += 1.0 / k
+        term = -r * (L + EULER_GAMMA - hk)
+        total += term
+        abssum += np.abs(term)
+        if r.max() < 1e-18:
+            break
+    est = 4.0 * _EPS * abssum / np.maximum(np.abs(total), 1e-300) + 1e-15
+    return total, float(est.max())
+
+
+def _series_terms(nu: float, qmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Divisors d_k = k |k + i nu| and phases of the rearranged series, up to
+    the first k > 3 whose r_k = prod_{j<=k} qmax / d_j is below 1e-17 (r_k
+    grows with q = x^2/4, so the row's largest q fixes its last term)."""
+    th, _lpref = _series_setup(nu)
+    r_top = 1.0
+    divisors, phases = [], [th]
+    for k in range(1, 600):
+        d = k * math.hypot(k, nu)
+        r_top *= qmax / d
+        th -= math.atan2(nu, k)
+        divisors.append(d)
+        phases.append(th)
+        if r_top < 1e-17 and k > 3:
+            break
+    return np.array(divisors), np.array(phases)
+
+
+def _row_groups(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows holding points of the 2-D mask, and where each row's points
+    start in x[mask] and how many there are."""
+    per_row = np.count_nonzero(mask, axis=1)
+    ids = np.flatnonzero(per_row)
+    counts = per_row[ids]
+    return ids, np.cumsum(counts) - counts, counts
+
+
+def _row_max(values: np.ndarray, ids: np.ndarray, starts: np.ndarray,
+             worst: np.ndarray) -> None:
+    """worst[ids[i]] = max(worst[ids[i]], values[starts[i]:starts[i + 1]])."""
+    worst[ids] = np.maximum(worst[ids], np.maximum.reduceat(values, starts))
+
+
+def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
+                 out: np.ndarray, worst: np.ndarray) -> None:
+    """The power series at the points ser of x, each row at its own order."""
+    ids, starts, counts = _row_groups(ser)
+    group = np.repeat(np.arange(ids.size), counts)
+    xs = x[ser]
+    q = 0.25 * xs * xs
+    qmax = np.maximum.reduceat(q, starts)
+    terms = [_series_terms(float(nu[r]), float(m)) for r, m in zip(ids, qmax)]
+    n_terms = max(len(p) for _d, p in terms)
+    # one (term x row) table each; a row past its own last term gets the
+    # divisor inf, so its r_k and terms are exact zeros that leave its sums
+    # unchanged
+    div = np.full((n_terms - 1, ids.size), np.inf)
+    pha = np.zeros((n_terms, ids.size))
+    for i, (d, p) in enumerate(terms):
+        div[:len(d), i] = d
+        pha[:len(p), i] = p
+    phi = nu[ids][group] * np.log(0.5 * xs)
+    # term x point, in blocks of terms that carry the running product and
+    # sums from one block to the next as their first row: cumulative
+    # products and sums along the term axis keep the order of the
+    # term-by-term recurrence (a sum along an axis may be reduced pairwise),
+    # and the blocks bound the arrays however many points share the call
+    total = np.sin(phi + pha[0, group])
+    abssum = r_last = np.ones(xs.size)  # r_0 = 1
+    size = min(_SERIES_BLOCK, n_terms - 1)
+    r = np.empty((size + 1, xs.size))
+    t = np.empty((size + 1, xs.size))
+    for k in range(1, n_terms, size):
+        m = min(size, n_terms - k)
+        rb, tb = r[:m + 1], t[:m + 1]
+        rb[0] = r_last
+        np.take(div[k - 1:k - 1 + m], group, axis=1, out=rb[1:], mode="clip")
+        np.divide(q, rb[1:], out=rb[1:])
+        np.multiply.accumulate(rb, axis=0, out=rb)
+        r_last = rb[m].copy()
+        np.take(pha[k:k + m], group, axis=1, out=tb[1:], mode="clip")
+        tb[1:] += phi
+        np.sin(tb[1:], out=tb[1:])
+        tb[1:] *= rb[1:]
+        tb[0] = total
+        total = np.add.accumulate(tb, axis=0, out=tb)[m].copy()
+        rb[0] = abssum
+        abssum = np.add.accumulate(rb, axis=0, out=rb)[m].copy()
+    scale = np.array([-math.exp(_series_setup(float(nu[r]))[1]) for r in ids])
+    out[ser] = scale[group] * total
+    denom = np.maximum(np.abs(total), 1e-300)
+    _row_max(4.0 * _EPS * abssum / denom, ids, starts, worst)
+
+
+def _debye_oscillatory_rows(nu: np.ndarray, x: np.ndarray, osc: np.ndarray,
+                            out: np.ndarray, worst: np.ndarray) -> None:
+    """The oscillatory Debye form at the points osc of x (nu >= 60, x < nu)."""
+    xs = x[osc]
+    n = np.broadcast_to(nu[:, None], x.shape)[osc]
+    w = np.sqrt((n - xs) * (n + xs))
+    theta = np.arccosh(n / xs)
+    p2 = (n / w) ** 2
+    # Horner for all orders at once; an order's leading zeros keep s = 0
+    s = np.zeros((_DEBYE_TERMS, xs.size))
+    for j in range(_DEBYE_TERMS - 1, -1, -1):
+        s = s * p2 + _DEBYE_TABLE[:, j:j + 1]
+    # w**k row by row: numpy squares for k = 2 but calls pow otherwise
+    u = s / np.array([w**k for k in range(_DEBYE_TERMS)])
+    s_even = np.add.accumulate(u[0::2], axis=0)[-1]
+    s_odd = np.add.accumulate(u[1::2], axis=0)[-1]
+    last = np.abs(u[-1])
+    psi = n * theta - w - 0.25 * math.pi
+    val = s_even * np.cos(psi) - s_odd * np.sin(psi)
+    out[osc] = np.sqrt(2.0 * math.pi / w) * val
+    denom = np.maximum(np.abs(val), 1e-300)
+    ids, starts, _counts = _row_groups(osc)
+    _row_max(4.0 * last / denom, ids, starts, worst)
+
+
+def bessel_k_scaled_rows(nu: np.ndarray, x: np.ndarray,
+                         tol: float = DEFAULT_BESSEL_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized e^{pi nu/2} K_{i nu}(x) row by row: row r of the 2-D x at
+    order nu[r].  Returns (values, worst) with worst[r] the worst relative
+    error estimate of row r, at least 1e-15.
+
+    Used by the spatial-overlap quadratures, one row per Kronrod panel, so
+    that many panels of many overlaps cost one call.  Points outside the
+    vectorizable comfort zones fall back to the scalar selector.
+
+    Each vectorized branch works on (term x point) arrays.  The power series
+    takes as many terms as its row's largest argument needs (r_k grows with
+    x), forms the r_k by cumulative products and sums the terms by
+    cumulative sums along the term axis, a block of terms at a time; the
+    oscillatory Debye branch runs Horner's rule for all u_k at once on a
+    zero-padded coefficient table.  Both keep the term-by-term order of the scalar recurrences, so a
+    row's values and estimate do not depend on the other rows of the call.
+    They do depend on the row's own points: a larger argument in the row
+    adds series terms, which can move the other values in the last bit.
     """
     x = np.asarray(x, dtype=float)
+    nu = np.abs(np.asarray(nu, dtype=float))
+    if x.ndim != 2 or nu.shape != x.shape[:1]:
+        raise ValueError("x must be 2-D with one order per row")
     if np.any(x <= 0):
         raise ValueError("x must be positive")
-    nu = abs(float(nu))
     out = np.empty_like(x)
-    worst = 1e-15
+    worst = np.full(nu.shape, 1e-15)
+    order = nu[:, None]
 
     # large orders: the oscillatory Debye branch wherever it exists (series
     # cancellation grows with x there); otherwise the series covers x < nu
     # and the small-x region, everything else goes through the scalar selector
-    if nu >= 60.0:
-        osc = (x < nu) & ((nu - x) * (nu + x) >= 64.0)
-        ser = (~osc) & (x * x <= 12.0 * np.sqrt(1.0 + nu * nu))
-    else:
-        osc = np.zeros(x.shape, dtype=bool)
-        ser = (x * x <= 12.0 * np.sqrt(1.0 + nu * nu)) | (x < nu)
+    large = order >= 60.0
+    below = x < order
+    osc = large & below & ((order - x) * (order + x) >= 64.0)
+    ser = ~osc & ((x * x <= 12.0 * np.sqrt(1.0 + order * order)) | (~large & below))
     rest = ~(ser | osc)
 
+    k0 = ser & (order < 1e-8)
+    for r in np.flatnonzero(k0.any(axis=1)):
+        out[r, k0[r]], est = _k0_series(x[r, k0[r]])
+        worst[r] = max(worst[r], est)
+    ser &= ~k0
     if ser.any():
-        xs = x[ser]
-        if nu < 1e-8:
-            L = np.log(0.5 * xs)
-            r = np.ones_like(xs)
-            total = -(L + EULER_GAMMA)
-            abssum = np.abs(total).copy()
-            hk = 0.0
-            for k in range(1, 400):
-                r *= (0.25 * xs * xs) / (k * k)
-                hk += 1.0 / k
-                term = -r * (L + EULER_GAMMA - hk)
-                total += term
-                abssum += np.abs(term)
-                if r.max() < 1e-18:
-                    break
-            out[ser] = total
-        else:
-            theta0, lpref = _series_setup(nu)
-            L = np.log(0.5 * xs)
-            phi = nu * L
-            q = 0.25 * xs * xs
-            # r_k = prod_{j<=k} q / d_j grows with x, so the largest q alone
-            # fixes the last term: the first k > 3 with r_k below 1e-17
-            r_top = 1.0
-            qmax = float(q.max())
-            divisors, phases = [], [theta0]
-            for k in range(1, 600):
-                d = k * math.hypot(k, nu)
-                r_top *= qmax / d
-                divisors.append(d)
-                phases.append(phases[-1] - math.atan2(nu, k))
-                if r_top < 1e-17 and k > 3:
-                    break
-            # term x point: cumulative products and sums along the term axis
-            # keep the order of the term-by-term recurrence (a sum along an
-            # axis may be reduced pairwise)
-            r = np.empty((len(phases), xs.size))
-            r[0] = 1.0
-            np.divide(q, np.array(divisors)[:, None], out=r[1:])
-            np.multiply.accumulate(r, axis=0, out=r)
-            terms = r * np.sin(phi + np.array(phases)[:, None])
-            total = np.add.accumulate(terms, axis=0)[-1]
-            abssum = np.add.accumulate(r, axis=0)[-1]
-            out[ser] = -math.exp(lpref) * total
-            denom = np.maximum(np.abs(total), 1e-300)
-            worst = max(worst, float((4.0 * _EPS * abssum / denom).max()))
+        _series_rows(nu, x, ser, out, worst)
     if osc.any():
-        xs = x[osc]
-        w = np.sqrt((nu - xs) * (nu + xs))
-        theta = np.arccosh(nu / xs)
-        p2 = (nu / w) ** 2
-        # Horner for all orders at once; an order's leading zeros keep s = 0
-        s = np.zeros((_DEBYE_TERMS, xs.size))
-        for j in range(_DEBYE_TERMS - 1, -1, -1):
-            s = s * p2 + _DEBYE_TABLE[:, j:j + 1]
-        # w**k row by row: numpy squares for k = 2 but calls pow otherwise
-        u = s / np.array([w**k for k in range(_DEBYE_TERMS)])
-        s_even = np.add.accumulate(u[0::2], axis=0)[-1]
-        s_odd = np.add.accumulate(u[1::2], axis=0)[-1]
-        last = np.abs(u[-1])
-        psi = nu * theta - w - 0.25 * math.pi
-        val = s_even * np.cos(psi) - s_odd * np.sin(psi)
-        out[osc] = np.sqrt(2.0 * math.pi / w) * val
-        denom = np.maximum(np.abs(val), 1e-300)
-        worst = max(worst, float((4.0 * last / denom).max()))
-    if rest.any():
-        for i in np.flatnonzero(rest):
-            log_scaled, sign, est, _m = _k_log_scaled(nu, float(x[i]), tol)
-            out[i] = sign * math.exp(min(log_scaled, _LOG_MAX)) if sign else 0.0
-            worst = max(worst, est)
+        _debye_oscillatory_rows(nu, x, osc, out, worst)
+    for r, c in zip(*np.nonzero(rest)):
+        log_scaled, sign, est, _m = _k_log_scaled(float(nu[r]), float(x[r, c]), tol)
+        out[r, c] = sign * math.exp(min(log_scaled, _LOG_MAX)) if sign else 0.0
+        worst[r] = max(worst[r], est)
     return out, worst
+
+
+def bessel_k_scaled_values(nu: float, x: np.ndarray,
+                           tol: float = DEFAULT_BESSEL_TOL) -> tuple[np.ndarray, float]:
+    """bessel_k_scaled_rows for one order over an array of arguments of any
+    shape: (values, worst relative error estimate).  The values depend on
+    which points share the call: the series takes as many terms as the
+    largest argument needs, so adding a larger argument can move the others
+    in the last bit."""
+    x = np.asarray(x, dtype=float)
+    vals, worst = bessel_k_scaled_rows(np.array([nu], dtype=float), x.reshape(1, -1), tol)
+    return vals.reshape(x.shape), float(worst[0])
 
 
 # ----------------------------------------------------------------------

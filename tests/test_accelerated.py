@@ -8,7 +8,7 @@ from cavityclock.accelerated import (AveragingWindow, averaged_decay_rate,
                                      decay_probability_accelerated,
                                      decay_rate_accelerated_longtime,
                                      ideal_clock_deviation, rindler_mode_spatial,
-                                     spatial_overlap, squeezing_factor)
+                                     spatial_overlap, spatial_overlaps, squeezing_factor)
 from cavityclock.core import FieldParams
 from cavityclock.errors import HorizonError, UndefinedRatioError
 from cavityclock.kinematics import cavity_geometry
@@ -130,6 +130,79 @@ class TestSpatialOverlap:
     def test_requires_accelerated_geometry(self):
         with pytest.raises(ValueError):
             spatial_overlap(1.0, cavity_geometry(1.0, 0.0), 1.0)
+
+
+def overlap_bits(ov):
+    return (ov.value.hex(), ov.scaled_value.hex(), ov.scale_log.hex(),
+            ov.error_estimate.hex(), ov.evaluations, ov.converged)
+
+
+class TestLockstepOverlaps:
+    def test_each_equals_spatial_overlap(self):
+        # mixed accelerations and frequencies: series rows next to
+        # oscillatory rows (nu = 80, 150), one- and many-panel overlaps
+        geoms = [G_HALF, cavity_geometry(1.0, 0.2), G_HALF, cavity_geometry(0.7, 1.1),
+                 cavity_geometry(1.0, 0.2), G_HALF]
+        omegas = [G_HALF.omega1, 0.3, 40.0, 2.0, 30.0, 1e-6]
+        for M, cfg in ((1.0, None), (2.5, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300))):
+            got = spatial_overlaps(omegas, geoms, M, cfg)
+            want = [spatial_overlap(om, g, M, cfg) for om, g in zip(omegas, geoms)]
+            assert [overlap_bits(ov) for ov in got] == [overlap_bits(ov) for ov in want]
+        assert len({ov.evaluations for ov in want}) > 1
+
+    @pytest.mark.parametrize("alpha, om, M", [(0.5, 10.0, 1.0), (0.2, 10.0, 2.5),
+                                              (0.5, 40.0, 1.0), (1.1, 2.0, 1.0)])
+    def test_equals_panel_by_panel_quadrature(self, alpha, om, M):
+        # the overlap as one integrate() over one-panel Bessel calls, with the
+        # worst kernel estimate of every panel entering the error
+        from cavityclock.quadrature import integrate
+        from cavityclock.specialfn import bessel_k_scaled_values
+        g = cavity_geometry(1.0, alpha)
+        nu = om / alpha
+        worst = [0.0]
+
+        def integrand(xi):
+            vals, est = bessel_k_scaled_values(nu, (M / alpha) * np.exp(alpha * xi))
+            worst[0] = max(worst[0], est)
+            return vals * np.sin(g.omega1 * (xi - g.xi_minus))
+
+        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
+        res = integrate(integrand, g.xi_minus, g.xi_plus, cfg)
+        ov = spatial_overlaps([om], [g], M, cfg)[0]
+        assert ov.evaluations > 15
+        assert ov.scaled_value.hex() == res.value.hex()
+        assert ov.error_estimate.hex() == (res.error_estimate
+                                           + abs(res.value) * worst[0]).hex()
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            spatial_overlaps([1.0, 2.0], [G_HALF], 1.0)
+        with pytest.raises(ValueError):
+            spatial_overlaps([1.0, 2.0], [G_HALF, cavity_geometry(1.0, 0.0)], 1.0)
+        with pytest.raises(ValueError):
+            spatial_overlaps([1.0, 0.0], [G_HALF, G_HALF], 1.0)
+
+    def test_window_costs_one_kernel_call_per_round(self, monkeypatch):
+        # the 64 window samples share each refinement round's Bessel call
+        from cavityclock import accelerated
+        calls = []
+        rows = accelerated.bessel_k_scaled_rows
+
+        def counting(nu, x, *args):
+            calls.append(len(nu))
+            return rows(nu, x, *args)
+
+        monkeypatch.setattr(accelerated, "bessel_k_scaled_rows", counting)
+        window = AveragingWindow(0.5, 0.05, 64)
+        r = averaged_decay_rate(G_HALF, FIELDS, window)
+        monkeypatch.undo()
+        geoms = [cavity_geometry(1.0, float(a)) for a in window.alphas()]
+        steps = [(ov.evaluations // 15 - 1) // 2
+                 for ov in spatial_overlaps([g.omega1 for g in geoms], geoms, 1.0)]
+        assert r.diagnostics["converged"] is True
+        assert len(calls) == 1 + max(steps) < 64
+        assert calls[0] == 64
+        assert sum(calls) == 64 + 2 * sum(steps)
 
 
 class TestDecayProbability:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cavityclock.errors import IntegrandError
 from cavityclock.quadrature import (_NODES, QuadratureConfig, _breakpoints, _panel,
-                                    integrate, integrate_resonant, truncation_point)
+                                    integrate, integrate_rows, truncation_point)
 from cavityclock.specialfn import resonance_kernel
 
 
@@ -98,13 +98,73 @@ class TestRunningSums:
         assert r.evaluations > 100 * 15
 
 
+def bits(r):
+    return (r.value.hex(), r.error_estimate.hex(), r.evaluations, r.converged)
+
+
+class TestLockstep:
+    """integrate_rows() refines every interval as integrate() does alone."""
+
+    @staticmethod
+    def rows_of(fs):
+        # f(ids, xs) for integrate_rows from one 1-D integrand per interval
+        return lambda ids, xs: np.array([fs[i](x) for i, x in zip(ids, xs)])
+
+    def test_same_bits_as_integrate(self):
+        fs = [lambda x: x * x,                                     # one panel
+              lambda x: np.sin(40.0 * x) / ((x - 0.3) ** 2 + 1e-5),  # 37 steps
+              lambda x: np.exp(-x),                                # a == b
+              lambda x: np.sqrt(np.abs(x - 0.25)),                 # 38 steps
+              lambda x: np.sign(np.sin(7.0 * x))]                  # unconverged
+        intervals = [(0.0, 1.0), (-1.0, 2.0), (1.5, 1.5), (0.0, 1.0), (0.0, 2.0)]
+        cfg = QuadratureConfig(rel_tol=1e-10, max_subdivisions=40)
+        rounds = []
+
+        def f(ids, xs):
+            rounds.append(ids.tolist())
+            return self.rows_of(fs)(ids, xs)
+
+        got = integrate_rows(f, intervals, cfg)
+        want = [integrate(g, a, b, cfg) for g, (a, b) in zip(fs, intervals)]
+        assert [bits(r) for r in got] == [bits(r) for r in want]
+        assert [r.converged for r in want] == [True, True, True, True, False]
+        assert [r.evaluations // 15 for r in want] == [1, 1 + 2 * 37, 0, 1 + 2 * 38, 1 + 2 * 40]
+        # one panel per unfinished integral in the first round, two after it
+        assert rounds[0] == [0, 1, 3, 4]
+        assert rounds[1] == [1, 1, 3, 3, 4, 4]
+        assert rounds[38] == [3, 3, 4, 4]
+        assert rounds[39:] == [[4, 4], [4, 4]]
+
+    def test_breakpoints_and_cutoff(self):
+        cfg = QuadratureConfig(singular_points=(0.5,), domain_cutoff=30.0).with_resonance(2.0, 0.1)
+        fs = [lambda x: np.exp(-x) * np.cos(3.0 * x), lambda x: 1.0 / (1.0 + x * x)]
+        intervals = [(0.0, math.inf), (0.0, 3.0)]
+        got = integrate_rows(self.rows_of(fs), intervals, cfg)
+        want = [integrate(g, a, b, cfg) for g, (a, b) in zip(fs, intervals)]
+        assert [bits(r) for r in got] == [bits(r) for r in want]
+
+    def test_nonfinite_names_same_abscissa(self):
+        def bad(x):
+            return np.where(np.abs(x - 0.3) < 0.01, np.nan, np.ones_like(x))
+
+        with pytest.raises(IntegrandError) as alone:
+            integrate(bad, 0.0, 1.0)
+        fs = [np.cos, bad]
+        with pytest.raises(IntegrandError) as lockstep:
+            integrate_rows(self.rows_of(fs), [(0.0, 1.0), (0.0, 1.0)])
+        assert str(lockstep.value) == str(alone.value)
+
+    def test_no_intervals(self):
+        assert integrate_rows(lambda ids, xs: xs, []) == []
+
+
 class TestResonant:
     def test_sinc_squared_peak(self):
         # int sin^2(u t/2)/u^2 du over the real line is pi t/2; over [0,10]
         # around the u=1 peak the tails cost well under 0.5%
         t = 200.0
-        r = integrate_resonant(lambda x: resonance_kernel(x - 1.0, t), 0.0, 10.0,
-                               (1.0, 2 * math.pi / t))
+        cfg = QuadratureConfig().with_resonance(1.0, 2 * math.pi / t)
+        r = integrate(lambda x: resonance_kernel(x - 1.0, t), 0.0, 10.0, cfg)
         assert r.converged
         assert r.value == pytest.approx(math.pi * t / 2.0, rel=5e-3)
 
@@ -115,13 +175,13 @@ class TestResonant:
         assert not r.converged
 
     def test_zero_integrand(self):
-        r = integrate_resonant(lambda x: resonance_kernel(x - 1.0, 0.0), 0.0, 10.0,
-                               (1.0, 0.1))
+        cfg = QuadratureConfig().with_resonance(1.0, 0.1)
+        r = integrate(lambda x: resonance_kernel(x - 1.0, 0.0), 0.0, 10.0, cfg)
         assert r.value == 0.0
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):
-            integrate_resonant(lambda x: x, 0.0, 1.0, (0.5, 0.0))
+            integrate(lambda x: x, 0.0, 1.0, QuadratureConfig().with_resonance(0.5, 0.0))
 
 
 class TestSingularPoints:

@@ -9,7 +9,8 @@ from cavityclock.errors import SpecialFunctionRangeError
 from cavityclock.quadrature import _NODES
 from cavityclock.specialfn import (_CKJ, _DEBYE_TERMS, BESSEL_METHOD_RANGES,
                                    BesselMethod, _series_setup, bessel_k_imag_order,
-                                   bessel_k_imag_order_log, bessel_k_scaled_values,
+                                   bessel_k_imag_order_log, bessel_k_scaled_rows,
+                                   bessel_k_scaled_values,
                                    gamma_abs_sq_imag, gamma_abs_sq_imag_log,
                                    resonance_kernel)
 
@@ -235,6 +236,9 @@ BATCHED_CASES = {
     "one point series": (6.15, np.array([1.5]), 1e-14),
     "one point oscillatory": (150.0, np.array([100.0]), 1e-10),
     "one point fallback": (2.0, np.array([7.0]), 1e-14),
+    # errors reach 1.0e-14 and 3.8e-14 (estimates 5.1e-14 and 1.3e-13)
+    "K_0 branch": (0.0, kronrod_panel(0.05, 3.0), 1e-13),
+    "K_0 branch to the series edge": (0.0, kronrod_panel(2.0, 3.46), 1e-12),
 }
 
 
@@ -250,19 +254,59 @@ class TestBatchedAgainstMpmath:
 
     @pytest.mark.xfail(strict=True, reason="known: the estimate understates the error")
     @pytest.mark.parametrize("nu, xs", [
-        # the K_0 branch (nu < 1e-8) returns the 1e-15 floor; errors reach 1e-14
-        (0.0, kronrod_panel(0.05, 3.0)),
         # near the turning point at nu = 150, |x^2 - nu^2| ~ 650 and 1150:
         # relative errors 3e5 and 4e17 against estimates of 4.5 and 0.4
         (150.0, np.array([147.825, 153.766])),
         # the oscillatory branch leaves the phase's rounding out of its
         # estimate: errors reach 1.5e-13 against 1e-15 (see phase_rounding)
         (400.0, kronrod_panel(20.0, 60.0)),
-    ], ids=["K_0 branch", "turning point nu=150", "oscillatory phase nu=400"])
+    ], ids=["turning point nu=150", "oscillatory phase nu=400"])
     def test_estimate_misses_error(self, nu, xs):
         vals, worst = bessel_k_scaled_values(nu, xs)
         ref = np.array([mp_k_scaled(nu, x) for x in xs])
         assert np.all(np.abs(vals - ref) <= worst * np.abs(ref))
+
+
+# one Kronrod panel per row, at mixed orders: every branch of the row kernel,
+# rows with few series terms next to rows with many
+ROWS = [
+    (0.0, kronrod_panel(0.05, 3.0)),           # K_0 series
+    (2.0, kronrod_panel(1e-4, 2e-3)),          # series, stops at k = 4
+    (6.15, kronrod_panel(0.5, 8.0)),           # series
+    (40.0, kronrod_panel(2.0, 35.0)),          # series, many terms
+    (2.0, kronrod_panel(3.0, 9.0)),            # series and fallback
+    (150.0, kronrod_panel(10.0, 110.0)),       # oscillatory
+    (60.0, kronrod_panel(5.0, 160.0)),         # oscillatory and fallback
+    (1e-9, kronrod_panel(0.5, 6.0)),           # K_0 series and fallback
+    # series whose 13th value moves in the last bit if the row takes more
+    # terms than its own largest argument needs
+    (8.49343291920629, kronrod_panel(1.3765884681999585, 2.365445529976764)),
+]
+
+
+class TestRowsIndependent:
+    """Each row of bessel_k_scaled_rows is bit-equal to a one-row call,
+    whatever the other rows of the call hold."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_equals_one_row_call(self, seed):
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(len(ROWS), size=int(rng.integers(2, 3 * len(ROWS))))
+        nu = np.array([ROWS[i][0] for i in picks])
+        x = np.array([ROWS[i][1] for i in picks])
+        vals, worst = bessel_k_scaled_rows(nu, x)
+        for r in range(len(picks)):
+            one, one_worst = bessel_k_scaled_rows(nu[r:r + 1], x[r:r + 1])
+            assert vals[r].tobytes() == one[0].tobytes(), ROWS[picks[r]]
+            assert worst[r] == one_worst[0]
+
+    def test_shapes_checked(self):
+        with pytest.raises(ValueError):
+            bessel_k_scaled_rows(np.array([1.0, 2.0]), np.ones((3, 15)))
+        with pytest.raises(ValueError):
+            bessel_k_scaled_rows(np.array([1.0]), np.ones(15))
+        with pytest.raises(ValueError):
+            bessel_k_scaled_rows(np.array([1.0]), np.zeros((1, 15)))
 
 
 class TestGammaAbsSq:
