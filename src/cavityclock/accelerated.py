@@ -207,19 +207,18 @@ def decay_probability_accelerated(geometry: CavityGeometry, fields: FieldParams,
     overlaps_converged = [True]
 
     def integrand(oms) -> np.ndarray:
-        oms = [float(om) for om in np.atleast_1d(oms)]
-        overlaps = spatial_overlaps(oms, [geometry] * len(oms), M, inner)
-        out = []
-        for om, ov in zip(oms, overlaps):
+        oms = np.asarray(oms, dtype=float)
+        overlaps = spatial_overlaps(oms, [geometry] * oms.size, M, inner)
+        for ov in overlaps:
             overlap_est[0] = max(overlap_est[0], ov.error_estimate /
                                  max(abs(ov.scaled_value), 1e-300))
             overlap_evals[0] += ov.evaluations
             overlaps_converged[0] = overlaps_converged[0] and ov.converged
-            js2 = ov.scaled_value * ov.scaled_value
-            therm = math.exp(-2.0 * math.pi * om / alpha)
-            out.append(js2 * (resonance_kernel(om - w1, tau)
-                              + therm * resonance_kernel(om + w1, tau)))
-        return np.array(out)
+        js = np.array([ov.scaled_value for ov in overlaps])
+        # math.exp, not np.exp: the two differ in the last bit on some arguments
+        therm = np.array([math.exp(-2.0 * math.pi * om / alpha) for om in oms.tolist()])
+        return js * js * (resonance_kernel(oms - w1, tau)
+                          + therm * resonance_kernel(oms + w1, tau))
 
     om_lo = OMEGA_FLOOR_FRACTION * w1
 

@@ -11,8 +11,13 @@ need guarantees quad does not give:
   errors are summed exactly, so their order does not matter),
 * evaluation counts and a converged flag are reported.
 
-Integrands are called with a 1-D numpy array of abscissae and should return an
-array of the same shape; plain scalar callables are detected and wrapped.
+Each refinement round costs one integrand call: integrate() passes f a 1-D
+numpy array with every abscissa of the round, in panel order (all initial
+panels in the first round, both halves of the bisected panel after that), and
+f returns one value per abscissa; integrate_rows() does the same for many
+integrals at once.  The results are those of calling f panel by panel
+whenever f works point by point, its value at a point not depending on which
+other points share the call.
 """
 
 from __future__ import annotations
@@ -89,26 +94,6 @@ class IntegralResult:
     converged: bool
 
 
-def _as_vector_fn(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    probed: dict[str, bool | None] = {"vectorized": None}
-
-    def call(xs: np.ndarray) -> np.ndarray:
-        if probed["vectorized"] is None:
-            try:
-                out = np.asarray(f(xs), dtype=float)
-                if out.shape == xs.shape:
-                    probed["vectorized"] = True
-                    return out
-            except (TypeError, ValueError):
-                pass
-            probed["vectorized"] = False
-        if probed["vectorized"]:
-            return np.asarray(f(xs), dtype=float)
-        return np.array([float(f(float(x))) for x in xs])
-
-    return call
-
-
 def _panel(fv: np.ndarray, a: float, b: float) -> tuple[float, float]:
     """Kronrod value and QUADPACK-style error estimate for one panel."""
     half = 0.5 * (b - a)
@@ -168,19 +153,27 @@ def _breakpoints(a: float, b: float, cfg: QuadratureConfig) -> list[float]:
     return kept
 
 
-def _checked_panel(xs: np.ndarray, fv: np.ndarray, a: float, b: float) -> tuple[float, float]:
-    """_panel() of the values fv at the abscissae xs, refusing non-finite values."""
-    if not np.isfinite(fv).all():
-        x_bad = float(xs[int(np.argmin(np.isfinite(fv)))])
+def _round_values(fv, xs: np.ndarray) -> np.ndarray:
+    """The integrand's values fv at one round's abscissae xs, refused unless
+    there is one finite value per abscissa; a non-finite one is named by the
+    first abscissa, in panel order, where it occurs."""
+    fv = np.asarray(fv, dtype=float)
+    if fv.shape != xs.shape:
+        raise ValueError(f"integrand returned shape {fv.shape} for abscissae of shape "
+                         f"{xs.shape}; it must return one value per abscissa")
+    finite = np.isfinite(fv)
+    if not finite.all():
+        x_bad = float(xs.flat[int(np.argmin(finite))])
         raise IntegrandError(f"non-finite integrand value at x = {x_bad!r}")
-    return _panel(fv, a, b)
+    return fv
 
 
 def _adaptive(a: float, b: float, cfg: QuadratureConfig | None):
-    """The adaptive loop as a generator.  It yields the abscissae of the
-    panels it needs next as a list of 15-point arrays, one per panel, takes
-    the integrand's values back as a sequence of arrays in the same order,
-    and returns the IntegralResult.  integrate() and integrate_rows() drive it."""
+    """The adaptive loop as a generator.  Each round it yields the abscissae
+    of the panels it needs next as a list of 15-point arrays, one per panel,
+    takes the integrand's values back as a (panels x 15) array, and at the
+    end returns the IntegralResult.  integrate() and integrate_rows() drive
+    it and check the values (_round_values)."""
     cfg = cfg or QuadratureConfig()
     if math.isinf(b):
         if cfg.domain_cutoff is None:
@@ -192,11 +185,12 @@ def _adaptive(a: float, b: float, cfg: QuadratureConfig | None):
         raise ValueError("integration limits must satisfy a <= b")
 
     pts = _breakpoints(a, b, cfg)
-    xss = [0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo) for lo, hi in zip(pts[:-1], pts[1:])]
-    fvs = yield xss
+    if len(pts) < 2:  # [a, b] is below the breakpoints' resolution
+        return IntegralResult(0.0, 0.0, 0, True)
+    fv = yield [0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo) for lo, hi in zip(pts[:-1], pts[1:])]
     heap: list[tuple[float, float, float, float, float]] = []  # (-err, a, b, value, err)
-    for lo, hi, xs, fv in zip(pts[:-1], pts[1:], xss, fvs):
-        value, err = _checked_panel(xs, fv, lo, hi)
+    for lo, hi, row in zip(pts[:-1], pts[1:], fv):
+        value, err = _panel(row, lo, hi)
         heapq.heappush(heap, (-err, lo, hi, value, err))
 
     # exact running sums of the heap's panel values and errors (see _add_exact)
@@ -221,11 +215,10 @@ def _adaptive(a: float, b: float, cfg: QuadratureConfig | None):
             converged = False
             break
         heapq.heappop(heap)
-        xs_lo = 0.5 * (mid - lo) * _NODES + 0.5 * (mid + lo)
-        xs_hi = 0.5 * (hi - mid) * _NODES + 0.5 * (hi + mid)
-        fv_lo, fv_hi = yield [xs_lo, xs_hi]
-        v_lo, e_lo = _checked_panel(xs_lo, fv_lo, lo, mid)
-        v_hi, e_hi = _checked_panel(xs_hi, fv_hi, mid, hi)
+        fv_lo, fv_hi = yield [0.5 * (mid - lo) * _NODES + 0.5 * (mid + lo),
+                              0.5 * (hi - mid) * _NODES + 0.5 * (hi + mid)]
+        v_lo, e_lo = _panel(fv_lo, lo, mid)
+        v_hi, e_hi = _panel(fv_hi, mid, hi)
         heapq.heappush(heap, (-e_lo, lo, mid, v_lo, e_lo))
         heapq.heappush(heap, (-e_hi, mid, hi, v_hi, e_hi))
         _add_exact(values, (-value, v_lo, v_hi))
@@ -241,16 +234,22 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
 
     Returns the best estimate with converged=False when the tolerance was not
     reached within max_subdivisions.  Non-finite samples abort with
-    IntegrandError naming the abscissa (declared singular points are never
-    sampled, so they cannot trigger this).  f gets one panel's 15 abscissae
-    per call.
+    IntegrandError naming the first such abscissa in panel order (declared
+    singular points are never sampled, so they cannot trigger this).
+
+    f is called once per refinement round, with every abscissa of the round
+    as one 1-D array in panel order: 15 per initial panel in the first call,
+    then 30, the two halves of the bisected panel.  It must return one value
+    per abscissa (ValueError otherwise).  The result equals that of calling f
+    panel by panel whenever f's value at a point does not depend on which
+    other points share the call.
     """
-    fvec = _as_vector_fn(f)
     loop = _adaptive(a, b, cfg)
     try:
         xss = next(loop)
         while True:
-            xss = loop.send([fvec(xs) for xs in xss])
+            xs = np.concatenate(xss)
+            xss = loop.send(_round_values(f(xs), xs).reshape(len(xss), _NODES.size))
     except StopIteration as done:
         return done.value
 
@@ -259,9 +258,9 @@ def integrate_rows(f: Callable, intervals, cfg: QuadratureConfig | None = None) 
     """integrate() over many intervals in lockstep, with one call of f per
     round: f(ids, xs) gets the (panels x 15) abscissae that the unfinished
     integrals need next, ids[p] naming the interval of panel p, and returns
-    the values in that shape.  Each integral takes the steps integrate()
-    takes, so its result is integrate()'s whenever f's value at a panel does
-    not depend on the other panels of the call.
+    one value per abscissa, in that shape.  Each integral takes the steps
+    integrate() takes, so its result is integrate()'s whenever f's value at a
+    panel does not depend on the other panels of the call.
     """
     loops = [_adaptive(a, b, cfg) for a, b in intervals]
     results: list[IntegralResult | None] = [None] * len(loops)
@@ -273,8 +272,8 @@ def integrate_rows(f: Callable, intervals, cfg: QuadratureConfig | None = None) 
             results[i] = done.value
     while pending:
         ids = np.repeat(list(pending), [len(xss) for xss in pending.values()])
-        fv = np.asarray(f(ids, np.array([xs for xss in pending.values() for xs in xss])),
-                        dtype=float)
+        xs = np.array([row for xss in pending.values() for row in xss])
+        fv = _round_values(f(ids, xs), xs)
         start, waiting = 0, {}
         for i, xss in pending.items():
             try:

@@ -546,7 +546,7 @@ def gamma_abs_sq_imag_log(y: float) -> float:
 
 def resonance_kernel(x, t):
     """sin^2(x t / 2) / x^2 with the x -> 0 limit t^2/4.  Accepts arrays in x."""
-    if np.any(np.asarray(t) < 0):
+    if (t < 0) if isinstance(t, float) else np.any(np.asarray(t) < 0):
         raise ValueError("duration t must be nonnegative")
     if np.ndim(x) == 0:
         x = float(x)

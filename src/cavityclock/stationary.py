@@ -69,18 +69,6 @@ def _integrand_scaled(u: np.ndarray, m: float, ts: float) -> np.ndarray:
     return 0.25 * sinc * sinc * ker / ((u + math.pi) ** 2 * om)
 
 
-def _integrand_full_line(u: np.ndarray, m: float, ts: float) -> np.ndarray:
-    """Same integrand without the evenness reduction (test hook): the stable
-    rewrite uses the mirrored identity cos^2(u/2) = sin^2((u + pi)/2) for u < 0."""
-    u = np.asarray(u, dtype=float)
-    om = np.hypot(u, m)
-    ker = resonance_kernel(om - math.pi, ts)
-    shift = np.where(u >= 0.0, u - math.pi, u + math.pi)
-    other = np.where(u >= 0.0, u + math.pi, u - math.pi)
-    sinc = np.sinc(0.5 * shift / math.pi)
-    return 0.125 * sinc * sinc * ker / (other * other * om)
-
-
 def _cutoff(m: float, ts: float, abs_tol_scaled: float) -> float:
     """Truncation of the u integral: past the resonance the integrand is
     bounded by min(ts^2, 4/(u-pi)^2) / (4 (u-pi)^2 (u+pi)^2 u) and the tail

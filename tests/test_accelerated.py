@@ -231,6 +231,43 @@ class TestDecayProbability:
               for t in (1.0, 5.0, 20.0)]
         assert ps[0] < ps[1] < ps[2]
 
+    def test_one_overlap_batch_per_round(self, monkeypatch):
+        # the outer integrand refines each round's overlaps in one lockstep:
+        # one spatial_overlaps call per tail probe (4 nodes) and per outer
+        # round (15 nodes per initial panel, then 30), two kernel calls each
+        from cavityclock import accelerated
+        sizes, probes, kernels = [], [0], [0]
+        overlaps, truncation, kernel = (accelerated.spatial_overlaps,
+                                        accelerated.truncation_point,
+                                        accelerated.resonance_kernel)
+
+        def counting_overlaps(oms, *args):
+            sizes.append(len(oms))
+            return overlaps(oms, *args)
+
+        def counting_truncation(tail, *args):
+            def probe(om_c):
+                probes[0] += 1
+                return tail(om_c)
+            return truncation(probe, *args)
+
+        def counting_kernel(x, t):
+            kernels[0] += 1
+            return kernel(x, t)
+
+        monkeypatch.setattr(accelerated, "spatial_overlaps", counting_overlaps)
+        monkeypatch.setattr(accelerated, "truncation_point", counting_truncation)
+        monkeypatch.setattr(accelerated, "resonance_kernel", counting_kernel)
+        cfg = QuadratureConfig(rel_tol=1e-5, abs_tol=1e-9)
+        r = decay_probability_accelerated(G_HALF, FIELDS, 5.0, cfg)
+        n = probes[0]
+        rounds = sizes[n:]
+        assert n >= 1 and sizes[:n] == [4] * n
+        assert rounds[0] % 15 == 0 and rounds[1:] == [30] * (len(rounds) - 1)
+        assert sum(rounds) == r.diagnostics["evaluations"]
+        assert len(rounds) > 10
+        assert kernels[0] == 2 * len(sizes)
+
     def test_longtime_slope_matches_rate(self):
         # the differential rate dP/dtau approaches the closed-form long-time
         # rate; the offset P(tau) - rate*tau is tau-independent

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavityclock.errors import IntegrandError
-from cavityclock.quadrature import (_NODES, QuadratureConfig, _breakpoints, _panel,
-                                    integrate, integrate_rows, truncation_point)
+from cavityclock import kinematics, stationary
+from cavityclock.core import FieldParams
+from cavityclock.errors import IntegrandError, SuperluminalPathError
+from cavityclock.kinematics import Trajectory, cavity_geometry, proper_time
+from cavityclock.quadrature import (_NODES, QuadratureConfig, _adaptive, _breakpoints,
+                                    _panel, integrate, integrate_rows, truncation_point)
 from cavityclock.specialfn import resonance_kernel
+from cavityclock.stationary import _integrand_scaled
 
 
 class TestBasics:
@@ -36,13 +40,27 @@ class TestBasics:
         r = integrate(lambda x: x, 2.0, 2.0)
         assert r.value == 0.0 and r.converged
 
+    def test_interval_below_breakpoint_resolution(self):
+        # [1, 1 + eps] holds no panel: nothing is sampled and the result is 0
+        def f(x):
+            raise AssertionError("sampled")
+
+        want = (0.0, 0.0, 0, True)
+        r = integrate(f, 1.0, 1.0 + 2.0**-52)
+        assert (r.value, r.error_estimate, r.evaluations, r.converged) == want
+        rows = integrate_rows(f, [(1.0, 1.0 + 2.0**-52)])
+        assert [(r.value, r.error_estimate, r.evaluations, r.converged) for r in rows] == [want]
+
     def test_reversed_limits_rejected(self):
         with pytest.raises(ValueError):
             integrate(lambda x: x, 1.0, 0.0)
 
-    def test_scalar_integrand_accepted(self):
-        r = integrate(lambda x: math.sin(x), 0.0, math.pi)
-        assert r.value == pytest.approx(2.0, rel=1e-10)
+    def test_scalar_integrand_refused(self):
+        # f gets a whole round of abscissae and must return one value for each
+        with pytest.raises(ValueError, match="one value per abscissa"):
+            integrate(lambda x: 1.0, 0.0, math.pi)
+        with pytest.raises(TypeError):
+            integrate(lambda x: math.sin(x), 0.0, math.pi)
 
     def test_evaluation_count_reported(self):
         r = integrate(lambda x: x, 0.0, 1.0)
@@ -158,6 +176,97 @@ class TestLockstep:
         assert integrate_rows(lambda ids, xs: xs, []) == []
 
 
+def per_panel(f, a, b, cfg=None):
+    """The panel-by-panel reference for integrate(): f gets one panel's 15
+    abscissae per call, and each panel's values are checked in panel order
+    once the round's calls are made."""
+    loop = _adaptive(a, b, cfg)
+    try:
+        xs = next(loop)
+        while True:
+            fvs = [np.asarray(f(row), dtype=float) for row in xs]
+            for row, fv in zip(xs, fvs):
+                if not np.isfinite(fv).all():
+                    x_bad = float(row[int(np.argmin(np.isfinite(fv)))])
+                    raise IntegrandError(f"non-finite integrand value at x = {x_bad!r}")
+            xs = loop.send(np.array(fvs))
+    except StopIteration as done:
+        return done.value
+
+
+class TestOneCallPerRound:
+    """integrate() evaluates each refinement round with one call of f."""
+
+    def test_call_count_and_sizes(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.shape)
+            return np.sin(40.0 * x) / ((x - 0.3) ** 2 + 1e-5)
+
+        cfg = QuadratureConfig(singular_points=(0.5,)).with_resonance(1.2, 0.05)
+        r = integrate(f, -1.0, 2.0, cfg)
+        initial = len(_breakpoints(-1.0, 2.0, cfg)) - 1
+        subdivisions = (r.evaluations // 15 - initial) // 2
+        assert initial > 1 and subdivisions > 10
+        assert sizes == [(15 * initial,)] + [(30,)] * subdivisions
+
+    @pytest.mark.parametrize("M, t", [(1.0, 40.0), (0.999 * math.pi, 25.0), (4.0, 10.0)],
+                             ids=["above threshold", "near threshold", "below threshold"])
+    def test_stationary_same_bits_as_per_panel(self, monkeypatch, M, t):
+        # decay_probability_stationary's own integrals, breakpoints and
+        # resonance included, against the panel-by-panel driver
+        pairs = []
+
+        def both(f, a, b, cfg):
+            got = integrate(f, a, b, cfg)
+            pairs.append((bits(got), bits(per_panel(f, a, b, cfg))))
+            return got
+
+        monkeypatch.setattr(stationary, "integrate", both)
+        stationary.decay_probability_stationary(cavity_geometry(1.0, 0.0), FieldParams(M), t)
+        assert len(pairs) == 1
+        assert pairs[0][0] == pairs[0][1]
+        assert pairs[0][0][2] > 15 * 20
+
+    @pytest.mark.parametrize("f, a, b, cfg", [
+        (lambda u: _integrand_scaled(u, 1.0, 30.0), 0.0, 40.0,
+         QuadratureConfig(rel_tol=1e-14, max_subdivisions=25)),
+        (lambda x: np.exp(-x) * np.cos(3.0 * x) / (1.0 + np.abs(x - 2.0)), 0.0, math.inf,
+         QuadratureConfig(singular_points=(0.5,), domain_cutoff=30.0).with_resonance(2.0, 0.1)),
+    ], ids=["unconverged", "breakpoints, resonance and cutoff"])
+    def test_same_bits_as_per_panel(self, f, a, b, cfg):
+        got, want = integrate(f, a, b, cfg), per_panel(f, a, b, cfg)
+        assert bits(got) == bits(want)
+        assert got.evaluations > 15 * 20
+
+    def test_nonfinite_in_both_halves_names_lower_half(self):
+        # finite on the first panel only: the first bisection's halves are
+        # both non-finite, and the lower half's first abscissa is named
+        first = 0.5 * _NODES + 0.5
+
+        def f(x):
+            return np.where(np.isin(x, first), np.sin(40.0 * x), np.nan)
+
+        with pytest.raises(IntegrandError) as rounds:
+            integrate(f, 0.0, 1.0)
+        with pytest.raises(IntegrandError) as panels:
+            per_panel(f, 0.0, 1.0)
+        assert str(rounds.value) == str(panels.value)
+        assert str(rounds.value).endswith(f"x = {float(0.25 * _NODES[0] + 0.25)!r}")
+
+    def test_superluminal_path_names_same_time(self, monkeypatch):
+        # |v| >= 1 only near t = 1, first sampled in the third round
+        traj = Trajectory(lambda t: 1.2 * np.exp(-((np.asarray(t) - 1.0) / 0.1) ** 2),
+                          lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+        with pytest.raises(SuperluminalPathError) as rounds:
+            proper_time(traj, 0.0, 3.0)
+        monkeypatch.setattr(kinematics, "integrate", per_panel)
+        with pytest.raises(SuperluminalPathError) as panels:
+            proper_time(traj, 0.0, 3.0)
+        assert str(rounds.value) == str(panels.value)
+
+
 class TestResonant:
     def test_sinc_squared_peak(self):
         # int sin^2(u t/2)/u^2 du over the real line is pi t/2; over [0,10]
@@ -223,7 +332,6 @@ class TestProperties:
     def test_refinement_monotonicity(self):
         # halving rel_tol never moves the result further from a brute-force
         # fixed-grid oracle of the resting-clock integrand
-        from cavityclock.stationary import _integrand_scaled
         m, ts = 1.0, 30.0
         grid = np.linspace(0.0, 40.0, 2_000_001)
         oracle = float(np.trapezoid(_integrand_scaled(grid, m, ts), grid))

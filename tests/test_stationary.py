@@ -8,14 +8,26 @@ from cavityclock.core import FieldParams, REGIME_GENERIC, REGIME_LONG, REGIME_SH
 from cavityclock.errors import NearThresholdError
 from cavityclock.kinematics import cavity_geometry
 from cavityclock.quadrature import QuadratureConfig, integrate
-from cavityclock.stationary import (_integrand_full_line, _integrand_scaled,
-                                    cavity_mode, decay_probability_stationary,
-                                    decay_rate_stationary_longtime,
-                                    plane_wave_mode)
+from cavityclock.specialfn import resonance_kernel
+from cavityclock.stationary import (_integrand_scaled, cavity_mode,
+                                    decay_probability_stationary,
+                                    decay_rate_stationary_longtime, plane_wave_mode)
 
 GEOM = cavity_geometry(1.0, 0.0)
 FIELDS = FieldParams(M=1.0, lam=1.0)
 RATE_L1_M1 = 0.028103438618244724  # 4 pi cos^2(sqrt(pi^2-1)/2) / sqrt(pi^2-1)
+
+
+def _integrand_full_line(u: np.ndarray, m: float, ts: float) -> np.ndarray:
+    """_integrand_scaled without the evenness reduction: the stable rewrite
+    uses the mirrored identity cos^2(u/2) = sin^2((u + pi)/2) for u < 0."""
+    u = np.asarray(u, dtype=float)
+    om = np.hypot(u, m)
+    ker = resonance_kernel(om - math.pi, ts)
+    shift = np.where(u >= 0.0, u - math.pi, u + math.pi)
+    other = np.where(u >= 0.0, u + math.pi, u - math.pi)
+    sinc = np.sinc(0.5 * shift / math.pi)
+    return 0.125 * sinc * sinc * ker / (other * other * om)
 
 
 class TestCavityMode:
