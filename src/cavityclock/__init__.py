@@ -20,7 +20,6 @@ from .specialfn import (BesselEval, BesselMethod, LogBesselEval,
                         bessel_k_imag_order, bessel_k_imag_order_log,
                         gamma_abs_sq_imag, gamma_abs_sq_imag_log,
                         resonance_kernel)
-from .stationary import (cavity_mode, decay_probability_stationary,
-                         decay_rate_stationary_longtime, plane_wave_mode)
+from .stationary import decay_probability_stationary, decay_rate_stationary_longtime
 
 __version__ = "0.1.0"

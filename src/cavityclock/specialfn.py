@@ -21,12 +21,15 @@ Three things live here:
     geometrically; accuracy is limited only by cancellation, which the
     method reports via its error estimate.
 
-  Every method self-estimates its relative error; the front end returns the
-  first method meeting the requested tolerance (series, asymptotic, integral
-  order) or the best available estimate otherwise.  Magnitudes reach
-  e^{-pi nu/2}, far below double range for the orders the accelerated-clock
-  integrals need, so log/sign and e^{pi nu/2}-scaled variants are the
-  primary internal currency.
+  Each method is implemented once.  The series and the oscillatory Debye
+  form are the vectorized row branches of bessel_k_scaled_rows, which every
+  observable uses; the scalar front end bessel_k_imag_order[_log] calls
+  them at one point.  Every method self-estimates its relative error; the
+  front end returns the first method meeting the requested tolerance
+  (series, asymptotic, integral order), or the best estimate otherwise, and
+  tags the result with it.  Magnitudes reach e^{-pi nu/2}, far below double
+  range for the orders the accelerated-clock integrals need, so log/sign and
+  e^{pi nu/2}-scaled variants are the primary internal currency.
 
 * |Gamma(i y)|^2 = pi / (y sinh(pi y)), in plain and log form.
 
@@ -40,7 +43,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.special import loggamma
@@ -124,50 +126,6 @@ def _series_region(nu: float, x: float) -> bool:
     return x * x <= 12.0 * math.sqrt(1.0 + nu * nu) or x < nu
 
 
-def _k_power_series(nu: float, x: float) -> tuple[float, float, float] | None:
-    """Scaled log form: returns (log_abs + pi nu/2, sign, rel_est)."""
-    L = math.log(0.5 * x)
-    if nu < 1e-8:
-        # K_0 limit of the rearranged series
-        r = 1.0
-        total = -(L + EULER_GAMMA)
-        abssum = abs(total)
-        hk = 0.0
-        for k in range(1, 400):
-            r *= (0.25 * x * x) / (k * k)
-            hk += 1.0 / k
-            term = -r * (L + EULER_GAMMA - hk)
-            total += term
-            abssum += abs(term)
-            if r < 1e-18 * abssum and k > 3:
-                break
-        else:
-            return None
-        if total == 0.0:
-            return None
-        est = 4.0 * _EPS * abssum / abs(total) + 1e-15
-        return math.log(abs(total)), math.copysign(1.0, total), est
-    theta0, lpref = _series_setup(nu)
-    phi = nu * L
-    r = 1.0
-    th = theta0
-    total = math.sin(phi + th)
-    abssum = abs(total)
-    for k in range(1, 600):
-        r *= (0.25 * x * x) / (k * math.hypot(k, nu))
-        th -= math.atan2(nu, k)
-        total += r * math.sin(phi + th)
-        abssum += r
-        if r < 1e-18 * abssum and k > 3:
-            break
-    else:
-        return None
-    if total == 0.0:
-        return None
-    est = 4.0 * _EPS * abssum / abs(total) + 1e-15
-    return lpref + math.log(abs(total)), -math.copysign(1.0, total), est
-
-
 def _k_debye_monotonic(nu: float, x: float) -> tuple[float, float, float] | None:
     """x > nu regime: K = sqrt(pi/2W') e^{-W' - nu asin(nu/x)} * series.
     Returns the scaled log form (log_abs + pi nu/2, sign, rel_est)."""
@@ -194,39 +152,6 @@ def _k_debye_monotonic(nu: float, x: float) -> tuple[float, float, float] | None
     return log_abs + 0.5 * math.pi * nu, math.copysign(1.0, total), est
 
 
-def _k_debye_oscillatory(nu: float, x: float) -> tuple[float, float, float] | None:
-    """x < nu regime, away from the turning point:
-    e^{pi nu/2} K = sqrt(2 pi/W) [S_even cos(Psi) - S_odd sin(Psi)],
-    Psi = nu arccosh(nu/x) - W - pi/4.  Scaled log form returned."""
-    if x >= nu:
-        return None
-    w = math.sqrt((nu - x) * (nu + x))
-    if w < 8.0:
-        return None
-    theta = math.acosh(nu / x)
-    p2 = (nu / w) ** 2
-    s_even = 0.0
-    s_odd = 0.0
-    last = 1.0
-    for k in range(_DEBYE_TERMS):
-        s = 0.0
-        for j in range(k, -1, -1):
-            s = s * p2 + _CKJ[k][j]
-        uk = s / w**k
-        if k % 2 == 0:
-            s_even += (-1.0 if (k // 2) % 2 else 1.0) * uk
-        else:
-            s_odd += (-1.0 if ((k - 1) // 2) % 2 else 1.0) * uk
-        last = abs(uk)
-    psi = nu * theta - w - 0.25 * math.pi
-    val = s_even * math.cos(psi) - s_odd * math.sin(psi)
-    if val == 0.0:
-        return None
-    est = 4.0 * last / abs(val) + 1e-15
-    return (0.5 * math.log(2.0 * math.pi / w) + math.log(abs(val)),
-            math.copysign(1.0, val), est)
-
-
 def _trapezoid_grid(nu: float, x: float) -> tuple[float, int]:
     tmax = math.acosh(760.0 / x) + 1.0 if x < 700.0 else 1.0
     h = 2.0 * math.pi / (2.0 * nu + 0.7 * x + 60.0)
@@ -248,38 +173,45 @@ def _k_trapezoid(nu: float, x: float) -> tuple[float, float, float] | None:
     return math.log(abs(s)) + 0.5 * math.pi * nu, math.copysign(1.0, s), est
 
 
-_METHOD_ORDER: tuple[tuple[BesselMethod, Callable], ...] = (
-    (BesselMethod.POWER_SERIES, _k_power_series),
+def _at_point(branch, nu: float, x: float) -> tuple[float, float, float] | None:
+    """The row branch at the single point (nu, x) in the scaled log form
+    (log|e^{pi nu/2} K|, sign, rel_est); None unless the value is finite and
+    nonzero and the estimate finite (nu >~ 900 near x = nu, the series
+    meets its term cap and may overflow)."""
+    out = np.zeros((1, 1))
+    worst = np.full(1, 1e-15)
+    with np.errstate(all="ignore"):
+        branch(np.array([nu]), np.array([[x]]), np.ones((1, 1), dtype=bool), out, worst)
+    value, est = float(out[0, 0]), float(worst[0])
+    if value == 0.0 or not (math.isfinite(value) and math.isfinite(est)):
+        return None
+    return math.log(abs(value)), math.copysign(1.0, value), est
+
+
+def _series_candidate(nu: float, x: float) -> tuple[float, float, float] | None:
+    if not _series_region(nu, x):
+        return None
+    return _at_point(_k0_rows if nu < 1e-8 else _series_rows, nu, x)
+
+
+def _debye_oscillatory_candidate(nu: float, x: float) -> tuple[float, float, float] | None:
+    if not (x < nu and (nu - x) * (nu + x) >= 64.0):
+        return None
+    return _at_point(_debye_oscillatory_rows, nu, x)
+
+
+_METHOD_ORDER = (
+    (BesselMethod.POWER_SERIES, _series_candidate),
     (BesselMethod.ASYMPTOTIC, _k_debye_monotonic),
-    (BesselMethod.ASYMPTOTIC, _k_debye_oscillatory),
+    (BesselMethod.ASYMPTOTIC, _debye_oscillatory_candidate),
     (BesselMethod.INTEGRAL_REPRESENTATION, _k_trapezoid),
 )
-
-#: Documented comfort zones; the union covers every (nu >= 0, x > 0) because
-#: the integral representation applies everywhere (with an honest estimate).
-BESSEL_METHOD_RANGES: dict[BesselMethod, dict] = {
-    BesselMethod.POWER_SERIES: {
-        "description": "x^2 <= 12 sqrt(1 + nu^2), or any x < nu (oscillatory side)",
-        "applies": _series_region,
-    },
-    BesselMethod.ASYMPTOTIC: {
-        "description": "Debye regime: |x^2 - nu^2|^(1/2) >= 8, away from x = nu",
-        "applies": lambda nu, x: abs(x * x - nu * nu) >= 64.0,
-    },
-    BesselMethod.INTEGRAL_REPRESENTATION: {
-        "description": "all nu >= 0, x > 0; accuracy limited by cancellation "
-                       "~ eps * e^(pi nu/2 - x), reported in the estimate",
-        "applies": lambda nu, x: True,
-    },
-}
 
 
 def _k_log_scaled(nu: float, x: float, tol: float) -> tuple[float, float, float, BesselMethod]:
     """(log|e^{pi nu/2} K|, sign, rel_est, method) via first-fit selection."""
     best = None
     for method, fn in _METHOD_ORDER:
-        if fn is _k_power_series and not _series_region(nu, x):
-            continue
         out = fn(nu, x)
         if out is None:
             continue
@@ -289,8 +221,9 @@ def _k_log_scaled(nu: float, x: float, tol: float) -> tuple[float, float, float,
         if best is None or est < best[2]:
             best = (log_abs, sign, est, method)
     if best is None:
-        # integrand vanished identically (x so large that e^{-x cosh t} underflows)
-        return -math.inf, 0.0, 1e-15, BesselMethod.INTEGRAL_REPRESENTATION
+        # no method gave a value (at nu >~ 900 near x = nu); the infinite
+        # estimate flags the point
+        return -math.inf, 0.0, math.inf, BesselMethod.INTEGRAL_REPRESENTATION
     return best
 
 
@@ -298,7 +231,8 @@ def bessel_k_imag_order_log(nu: float, x: float,
                             tol: float = DEFAULT_BESSEL_TOL) -> LogBesselEval:
     """K_{i nu}(x) in log/sign form, usable at any representable order.
 
-    log_abs may be -inf with sign 0 when the function underflows entirely.
+    log_abs is -inf with sign 0, and the estimate inf, when no method gives
+    a value.
     """
     if not x > 0:
         raise ValueError("x must be positive")
@@ -309,11 +243,11 @@ def bessel_k_imag_order_log(nu: float, x: float,
 
 def bessel_k_imag_order(nu: float, x: float, tol: float = DEFAULT_BESSEL_TOL) -> BesselEval:
     """K_{i nu}(x) as a plain float; raises SpecialFunctionRangeError when the
-    value leaves double range (the log variant then still works)."""
+    value leaves double range (the log variant then still works) or when no
+    method gives a value."""
     ev = bessel_k_imag_order_log(nu, x, tol)
     if ev.sign == 0.0:
-        raise SpecialFunctionRangeError(
-            f"K_(i {nu})({x}) underflows double precision; use bessel_k_imag_order_log")
+        raise SpecialFunctionRangeError(f"no method evaluates K_(i {nu})({x})")
     if ev.log_abs > _LOG_MAX or ev.log_abs < _LOG_MIN:
         raise SpecialFunctionRangeError(
             f"K_(i {nu})({x}) has log-magnitude {ev.log_abs:.1f}, outside double "
@@ -326,30 +260,35 @@ def bessel_k_imag_order(nu: float, x: float, tol: float = DEFAULT_BESSEL_TOL) ->
 _SERIES_BLOCK = 16
 
 
-def _k0_series(xs: np.ndarray) -> tuple[np.ndarray, float]:
-    """The K_0 limit (nu < 1e-8) of the series on one row's points: the
-    values and their worst relative error estimate."""
-    L = np.log(0.5 * xs)
-    r = np.ones_like(xs)
-    total = -(L + EULER_GAMMA)
-    abssum = np.abs(total)
-    hk = 0.0
-    for k in range(1, 400):
-        r *= (0.25 * xs * xs) / (k * k)
-        hk += 1.0 / k
-        term = -r * (L + EULER_GAMMA - hk)
-        total += term
-        abssum += np.abs(term)
-        if r.max() < 1e-18:
-            break
-    est = 4.0 * _EPS * abssum / np.maximum(np.abs(total), 1e-300) + 1e-15
-    return total, float(est.max())
+def _k0_rows(nu: np.ndarray, x: np.ndarray, k0: np.ndarray,
+             out: np.ndarray, worst: np.ndarray) -> None:
+    """The K_0 limit (nu < 1e-8) of the series at the points k0 of x, row by
+    row: a row stops at the first term below 1e-18 at all of its points."""
+    for row in np.flatnonzero(k0.any(axis=1)):
+        xs = x[row, k0[row]]
+        L = np.log(0.5 * xs)
+        r = np.ones_like(xs)
+        total = -(L + EULER_GAMMA)
+        abssum = np.abs(total)
+        hk = 0.0
+        for k in range(1, 400):
+            r *= (0.25 * xs * xs) / (k * k)
+            hk += 1.0 / k
+            term = -r * (L + EULER_GAMMA - hk)
+            total += term
+            abssum += np.abs(term)
+            if r.max() < 1e-18:
+                break
+        out[row, k0[row]] = total
+        est = 4.0 * _EPS * abssum / np.maximum(np.abs(total), 1e-300) + 1e-15
+        worst[row] = max(worst[row], float(est.max()))
 
 
-def _series_terms(nu: float, qmax: float) -> tuple[np.ndarray, np.ndarray]:
+def _series_terms(nu: float, qmax: float) -> tuple[np.ndarray, np.ndarray, bool]:
     """Divisors d_k = k |k + i nu| and phases of the rearranged series, up to
     the first k > 3 whose r_k = prod_{j<=k} qmax / d_j is below 1e-17 (r_k
-    grows with q = x^2/4, so the row's largest q fixes its last term)."""
+    grows with q = x^2/4, so the row's largest q fixes its last term), and
+    whether that k came before the 600-term cap."""
     th, _lpref = _series_setup(nu)
     r_top = 1.0
     divisors, phases = [], [th]
@@ -360,8 +299,8 @@ def _series_terms(nu: float, qmax: float) -> tuple[np.ndarray, np.ndarray]:
         divisors.append(d)
         phases.append(th)
         if r_top < 1e-17 and k > 3:
-            break
-    return np.array(divisors), np.array(phases)
+            return np.array(divisors), np.array(phases), True
+    return np.array(divisors), np.array(phases), False
 
 
 def _row_groups(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -388,15 +327,17 @@ def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
     q = 0.25 * xs * xs
     qmax = np.maximum.reduceat(q, starts)
     terms = [_series_terms(float(nu[r]), float(m)) for r, m in zip(ids, qmax)]
-    n_terms = max(len(p) for _d, p in terms)
+    n_terms = max(len(p) for _d, p, _done in terms)
     # one (term x row) table each; a row past its own last term gets the
     # divisor inf, so its r_k and terms are exact zeros that leave its sums
     # unchanged
     div = np.full((n_terms - 1, ids.size), np.inf)
     pha = np.zeros((n_terms, ids.size))
-    for i, (d, p) in enumerate(terms):
+    for i, (d, p, done) in enumerate(terms):
         div[:len(d), i] = d
         pha[:len(p), i] = p
+        if not done:  # cut off at the term cap (nu >~ 900 near x = nu)
+            worst[ids[i]] = math.inf
     phi = nu[ids][group] * np.log(0.5 * xs)
     # term x point, in blocks of terms that carry the running product and
     # sums from one block to the next as their first row: cumulative
@@ -432,7 +373,9 @@ def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
 
 def _debye_oscillatory_rows(nu: np.ndarray, x: np.ndarray, osc: np.ndarray,
                             out: np.ndarray, worst: np.ndarray) -> None:
-    """The oscillatory Debye form at the points osc of x (nu >= 60, x < nu)."""
+    """The oscillatory Debye form at the points osc of x (x < nu, W >= 8):
+    e^{pi nu/2} K = sqrt(2 pi/W) [S_even cos(Psi) - S_odd sin(Psi)],
+    Psi = nu arccosh(nu/x) - W - pi/4, W = sqrt(nu^2 - x^2)."""
     xs = x[osc]
     n = np.broadcast_to(nu[:, None], x.shape)[osc]
     w = np.sqrt((n - xs) * (n + xs))
@@ -463,17 +406,19 @@ def bessel_k_scaled_rows(nu: np.ndarray, x: np.ndarray,
 
     Used by the spatial-overlap quadratures, one row per Kronrod panel, so
     that many panels of many overlaps cost one call.  Points outside the
-    vectorizable comfort zones fall back to the scalar selector.
+    vectorizable comfort zones (x >= nu beyond the small-x region, and the
+    turning band) fall back to the scalar selector.
 
     Each vectorized branch works on (term x point) arrays.  The power series
     takes as many terms as its row's largest argument needs (r_k grows with
     x), forms the r_k by cumulative products and sums the terms by
     cumulative sums along the term axis, a block of terms at a time; the
     oscillatory Debye branch runs Horner's rule for all u_k at once on a
-    zero-padded coefficient table.  Both keep the term-by-term order of the scalar recurrences, so a
-    row's values and estimate do not depend on the other rows of the call.
-    They do depend on the row's own points: a larger argument in the row
-    adds series terms, which can move the other values in the last bit.
+    zero-padded coefficient table.  Both keep the term-by-term order of
+    their recurrences, so a row's values and estimate do not depend on the
+    other rows of the call.  They do depend on the row's own points: a larger
+    argument in the row adds series terms, which can move the other values
+    in the last bit.
     """
     x = np.asarray(x, dtype=float)
     nu = np.abs(np.asarray(nu, dtype=float))
@@ -495,14 +440,10 @@ def bessel_k_scaled_rows(nu: np.ndarray, x: np.ndarray,
     rest = ~(ser | osc)
 
     k0 = ser & (order < 1e-8)
-    for r in np.flatnonzero(k0.any(axis=1)):
-        out[r, k0[r]], est = _k0_series(x[r, k0[r]])
-        worst[r] = max(worst[r], est)
     ser &= ~k0
-    if ser.any():
-        _series_rows(nu, x, ser, out, worst)
-    if osc.any():
-        _debye_oscillatory_rows(nu, x, osc, out, worst)
+    for branch, mask in ((_k0_rows, k0), (_series_rows, ser), (_debye_oscillatory_rows, osc)):
+        if mask.any():
+            branch(nu, x, mask, out, worst)
     for r, c in zip(*np.nonzero(rest)):
         log_scaled, sign, est, _m = _k_log_scaled(float(nu[r]), float(x[r, c]), tol)
         out[r, c] = sign * math.exp(min(log_scaled, _LOG_MAX)) if sign else 0.0
@@ -520,7 +461,6 @@ def bessel_k_scaled_values(nu: float, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     vals, worst = bessel_k_scaled_rows(np.array([nu], dtype=float), x.reshape(1, -1), tol)
     return vals.reshape(x.shape), float(worst[0])
-
 
 # ----------------------------------------------------------------------
 # |Gamma(i y)|^2 and the resonance kernel

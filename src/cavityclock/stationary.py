@@ -33,29 +33,6 @@ from .specialfn import resonance_kernel
 NEAR_THRESHOLD_GUARD = 1e-6
 
 
-def cavity_mode(n: int, x: float, t: float, geometry: CavityGeometry) -> complex:
-    """Dirichlet standing wave u_n = sin(omega_n (x - wall_-)) e^{-i omega_n t}
-    / sqrt(pi n) between the walls, zero outside.  For the accelerated cavity
-    the same form holds with (x, t) read as Rindler (xi, tau)."""
-    if n < 1:
-        raise ValueError("mode index n must be >= 1")
-    lo, hi = geometry.walls
-    if x < lo or x > hi:
-        return 0.0 + 0.0j
-    w = geometry.mode_frequency(n)
-    return (math.sin(w * (x - lo)) / math.sqrt(math.pi * n)) * complex(
-        math.cos(w * t), -math.sin(w * t))
-
-
-def plane_wave_mode(K: float, x: float, t: float, M: float) -> complex:
-    """External-field plane wave e^{i K x - i Om t} / sqrt(4 pi Om), Om = sqrt(K^2+M^2)."""
-    if not M > 0:
-        raise ValueError("M must be positive")
-    om = math.hypot(K, M)
-    phase = K * x - om * t
-    return complex(math.cos(phase), math.sin(phase)) / math.sqrt(4.0 * math.pi * om)
-
-
 def _integrand_scaled(u: np.ndarray, m: float, ts: float) -> np.ndarray:
     """Integrand of P / (8 lam^2 l^4) over u = K l >= 0, time in units of l.
 

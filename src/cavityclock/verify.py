@@ -4,7 +4,8 @@ Five groups: the gamma identity against an independent complex-gamma oracle,
 the imaginary-order Bessel against a brute-force integral oracle, the Rindler
 mode against its differential equation, the long-time consistency of the
 stationary probability, and the small-acceleration recovery of the resting
-rate.  Each check returns a CheckResult; the CLI renders them as a table.
+rate.  Each check returns a CheckResult; the CLI renders them as a table,
+and the acceptance suite reports criteria 1-4 and 8 from the same checks.
 """
 
 from __future__ import annotations

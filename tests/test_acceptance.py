@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import cavityclock as cc
+from cavityclock import verify
 from cavityclock.core import FieldParams
 from cavityclock.quadrature import QuadratureConfig
 
@@ -32,52 +33,27 @@ def report(num, name, passed, detail):
     assert passed, f"criterion {num} ({name}): {detail}"
 
 
+def report_check(num, name, result):
+    report(num, name, result.passed,
+           f"{result.detail}: worst {result.worst:.2e} (bound {result.bound:g})")
+
+
 def test_criterion_01_gamma_identity():
-    worst = 0.0
-    from scipy.special import loggamma
-    for y in np.geomspace(0.05, 20.0, 200):
-        ref = math.exp(2.0 * loggamma(complex(0.0, float(y))).real)
-        worst = max(worst, abs(cc.gamma_abs_sq_imag(float(y)) / ref - 1.0))
-    report(1, "gamma identity", worst < 1e-10, f"worst rel err {worst:.2e} (bound 1e-10)")
+    report_check(1, "gamma identity", verify.check_gamma())
 
 
 def test_criterion_02_bessel_oracle():
-    from cavityclock.verify import _oracle_bessel_k
-    worst = 0.0
-    for nu in np.linspace(0.0, 10.0, 20):
-        for x in np.geomspace(0.1, 20.0, 20):
-            mine = cc.bessel_k_imag_order(float(nu), float(x)).value
-            ref = _oracle_bessel_k(float(nu), float(x))
-            worst = max(worst, abs(mine / ref - 1.0))
-    report(2, "Bessel vs brute-force integral", worst < 1e-8,
-           f"worst rel err {worst:.2e} on 20x20 grid (bound 1e-8)")
+    report_check(2, "Bessel vs brute-force integral", verify.check_bessel())
 
 
 def test_criterion_03_rindler_mode_ode_residual():
-    Om, alpha, M, h = 1.0, 0.5, 1.0, 1e-3
-    worst = 0.0
-    for xi in np.linspace(-1.0, 1.0, 21):
-        f0 = cc.rindler_mode_spatial(Om, float(xi), M, alpha)
-        fp = cc.rindler_mode_spatial(Om, float(xi) + h, M, alpha)
-        fm = cc.rindler_mode_spatial(Om, float(xi) - h, M, alpha)
-        second = (fp - 2.0 * f0 + fm) / (h * h)
-        residual = abs(second + (Om**2 - M**2 * math.exp(2.0 * alpha * xi)) * f0)
-        scale = max(abs(Om**2 * f0), abs(M**2 * math.exp(2.0 * alpha * xi) * f0))
-        worst = max(worst, residual / scale)
-    report(3, "Rindler mode ODE residual", worst < 1e-4,
-           f"worst relative residual {worst:.2e} (bound 1e-4)")
+    report_check(3, "Rindler mode ODE residual", verify.check_ode())
 
 
 def test_criterion_04_stationary_longtime_consistency():
-    geom = cc.cavity_geometry(1.0, 0.0)
-    cfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-9)
-    ts = np.array([50.0, 100.0, 200.0])
-    ps = np.array([cc.decay_probability_stationary(geom, FIELDS, float(t), cfg).value
-                   for t in ts])
-    slope = float(np.polyfit(ts, ps, 1)[0])
-    err = abs(slope / RATE_L1_M1 - 1.0)
-    report(4, "stationary slope vs long-time rate", err < 0.02,
-           f"slope {slope:.6g} vs rate {RATE_L1_M1:.6g}, rel diff {err:.2%} (bound 2%)")
+    rate = cc.decay_rate_stationary_longtime(cc.cavity_geometry(1.0, 0.0), FIELDS).value
+    assert rate == pytest.approx(RATE_L1_M1, rel=1e-12)
+    report_check(4, "stationary slope vs long-time rate", verify.check_longtime())
 
 
 def test_criterion_05_short_time_quadratic_law():
@@ -104,11 +80,7 @@ def test_criterion_07_threshold_behavior():
 
 
 def test_criterion_08_inertial_recovery():
-    geom = cc.cavity_geometry(1.0, 0.02)
-    avg = cc.averaged_decay_rate(geom, FIELDS, cc.AveragingWindow(0.02, 0.05, 64)).value
-    err = abs(avg / RATE_L1_M1 - 1.0)
-    report(8, "inertial recovery at alpha=0.02", err < 0.10,
-           f"averaged rate {avg:.6g} vs resting {RATE_L1_M1:.6g}, rel diff {err:.2%} (bound 10%)")
+    report_check(8, "inertial recovery at alpha=0.02", verify.check_recovery())
 
 
 def test_criterion_09_deviation_exists_and_grows():

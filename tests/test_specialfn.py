@@ -7,8 +7,8 @@ from scipy.special import loggamma
 
 from cavityclock.errors import SpecialFunctionRangeError
 from cavityclock.quadrature import _NODES
-from cavityclock.specialfn import (_CKJ, _DEBYE_TERMS, BESSEL_METHOD_RANGES,
-                                   BesselMethod, _series_setup, bessel_k_imag_order,
+from cavityclock.specialfn import (_CKJ, _DEBYE_TERMS, BesselMethod,
+                                   _series_setup, bessel_k_imag_order,
                                    bessel_k_imag_order_log, bessel_k_scaled_rows,
                                    bessel_k_scaled_values,
                                    gamma_abs_sq_imag, gamma_abs_sq_imag_log,
@@ -98,20 +98,15 @@ class TestBesselK:
         assert bessel_k_imag_order(5.0, 40.0).method is BesselMethod.ASYMPTOTIC
         assert bessel_k_imag_order(1.0, 8.0).method is BesselMethod.INTEGRAL_REPRESENTATION
 
-    def test_every_point_covered_by_some_method(self):
-        grid = [(nu, x) for nu in np.linspace(0, 10, 8) for x in np.geomspace(0.1, 20, 8)]
-        for nu, x in grid:
-            assert any(info["applies"](nu, x) for info in BESSEL_METHOD_RANGES.values())
-
     def test_methods_agree_in_overlap_regions(self):
         # wherever two methods both claim validity, their results must agree
-        from cavityclock.specialfn import (_k_debye_monotonic, _k_power_series,
-                                           _k_trapezoid, _series_region)
+        from cavityclock.specialfn import (_k_debye_monotonic, _k_trapezoid,
+                                           _series_candidate, _series_region)
         for nu in [0.0, 1.0, 3.0, 6.0]:
             for x in [0.5, 2.0, 5.0, 9.0]:
                 results = []
                 if _series_region(nu, x):
-                    results.append(_k_power_series(nu, x))
+                    results.append(_series_candidate(nu, x))
                 results.append(_k_trapezoid(nu, x))
                 mono = _k_debye_monotonic(nu, x)
                 if mono is not None:
@@ -140,6 +135,89 @@ class TestBesselK:
             bessel_k_imag_order(1.0, 0.0)
         with pytest.raises(ValueError):
             bessel_k_imag_order(1.0, -2.0)
+
+
+SERIES, DEBYE, INTEGRAL = (BesselMethod.POWER_SERIES, BesselMethod.ASYMPTOTIC,
+                           BesselMethod.INTEGRAL_REPRESENTATION)
+
+# (nu, x, method) the scalar selector picks at the default tolerance, frozen
+# from the scalar series and Debye loops the selector called before it made
+# one-point row calls
+FROZEN_TAGS = [
+    # K_0 and the series
+    (0.0, 0.05, SERIES), (0.0, 1.0, SERIES), (0.0, 3.0, SERIES), (1e-9, 2.0, SERIES),
+    (0.5, 0.1, SERIES), (2.0, 1.0, SERIES), (6.15, 1.5, SERIES), (10.0, 5.0, SERIES),
+    (40.0, 20.0, SERIES), (40.0, 39.0, SERIES), (59.9, 50.0, SERIES),
+    # nu >= 60 at small x: the series beats the oscillatory Debye form
+    (60.0, 5.0, SERIES), (60.0, 40.0, SERIES), (60.0, 54.5, SERIES), (150.0, 10.0, SERIES),
+    (150.0, 50.0, SERIES), (400.0, 20.0, SERIES), (400.0, 100.0, SERIES),
+    # x ~ 0.9 nu: the oscillatory Debye form wins
+    (150.0, 100.0, DEBYE), (150.0, 135.5, DEBYE), (400.0, 300.0, DEBYE), (400.0, 360.5, DEBYE),
+    # the monotonic Debye form
+    (0.5, 30.0, DEBYE), (5.0, 40.0, DEBYE), (150.0, 200.0, DEBYE), (400.0, 500.0, DEBYE),
+    # the trapezoid strip around x = nu
+    (1.0, 8.0, INTEGRAL), (2.0, 7.0, INTEGRAL), (6.15, 12.0, INTEGRAL), (10.0, 12.0, INTEGRAL),
+    (30.0, 33.0, INTEGRAL), (60.0, 62.0, INTEGRAL), (60.0, 80.0, INTEGRAL),
+    # the band at nu = 150, where no method meets the tolerance
+    (150.0, 147.825, SERIES), (150.0, 149.8, SERIES), (150.0, 149.9, SERIES),
+    (150.0, 149.99, SERIES), (150.0, 150.1, INTEGRAL), (150.0, 150.2, INTEGRAL),
+    (150.0, 153.766, INTEGRAL), (237.1, 233.7, SERIES),
+]
+
+
+def row_branch(nu, x):
+    """The vectorized branch bessel_k_scaled_rows takes at (nu, x), or None
+    for its scalar fallback."""
+    if nu >= 60.0 and x < nu and (nu - x) * (nu + x) >= 64.0:
+        return DEBYE
+    if x * x <= 12.0 * math.sqrt(1.0 + nu * nu) or (nu < 60.0 and x < nu):
+        return SERIES
+    return None
+
+
+class TestScalarFrontEnd:
+    @pytest.mark.parametrize("nu, x, method", FROZEN_TAGS)
+    def test_frozen_method_tags(self, nu, x, method):
+        assert bessel_k_imag_order_log(nu, x).method is method
+
+    def test_vectorized_methods_are_row_calls(self):
+        # where the scalar picks the series or the oscillatory Debye form and
+        # the row kernel takes the same branch, the two agree bit for bit
+        grid = [(nu, x) for nu, x, _m in FROZEN_TAGS]
+        grid += [(float(nu), float(x)) for nu in [0.0, *np.geomspace(0.01, 500.0, 12)]
+                 for x in np.geomspace(0.01, 1.2 * nu + 20.0, 15)]
+        seen = set()
+        for nu, x in grid:
+            ev = bessel_k_imag_order_log(nu, x)
+            if ev.method is not row_branch(nu, x):
+                continue
+            (v,), _worst = bessel_k_scaled_values(nu, np.array([x]))
+            assert ev.sign == math.copysign(1.0, v), (nu, x)
+            assert ev.log_abs == math.log(abs(v)) - 0.5 * math.pi * nu, (nu, x)
+            seen.add(ev.method)
+        assert seen == {SERIES, DEBYE}
+
+    @pytest.mark.parametrize("nu", [1000.0, 2000.0, 5000.0])
+    def test_far_band_finite_or_flagged(self, nu):
+        # the series runs into its term cap there; no NaN and no floating
+        # point warning may reach the caller
+        for w in (0.5, 4.0, 7.9):
+            x = math.sqrt(nu * nu - w * w)
+            with np.errstate(all="raise"):
+                ev = bessel_k_imag_order_log(nu, x)
+            assert math.isfinite(ev.log_abs) or (
+                ev.sign == 0.0 and ev.rel_error_estimate == math.inf), (nu, x)
+
+    def test_no_method_is_flagged(self):
+        # no candidate gives a value here: the estimate is infinite, not 1e-15
+        nu, x = 2000.0, 1999.992
+        ev = bessel_k_imag_order_log(nu, x)
+        assert ev.sign == 0.0 and ev.rel_error_estimate == math.inf
+        with pytest.raises(SpecialFunctionRangeError) as info:
+            bessel_k_imag_order(nu, x)
+        assert "underflow" not in str(info.value)
+        _vals, worst = bessel_k_scaled_values(nu, np.array([1990.0, x]))
+        assert worst == math.inf
 
 
 def per_term_reference(nu, xs):
@@ -281,6 +359,9 @@ ROWS = [
     # series whose 13th value moves in the last bit if the row takes more
     # terms than its own largest argument needs
     (8.49343291920629, kronrod_panel(1.3765884681999585, 2.365445529976764)),
+    # the turning band, sqrt(nu^2 - 64) < x < nu: every point through the
+    # scalar fallback
+    (150.0, kronrod_panel(149.8, 149.99)),
 ]
 
 

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -9,9 +8,8 @@ from cavityclock.errors import NearThresholdError
 from cavityclock.kinematics import cavity_geometry
 from cavityclock.quadrature import QuadratureConfig, integrate
 from cavityclock.specialfn import resonance_kernel
-from cavityclock.stationary import (_integrand_scaled, cavity_mode,
-                                    decay_probability_stationary,
-                                    decay_rate_stationary_longtime, plane_wave_mode)
+from cavityclock.stationary import (_integrand_scaled, decay_probability_stationary,
+                                    decay_rate_stationary_longtime)
 
 GEOM = cavity_geometry(1.0, 0.0)
 FIELDS = FieldParams(M=1.0, lam=1.0)
@@ -28,50 +26,6 @@ def _integrand_full_line(u: np.ndarray, m: float, ts: float) -> np.ndarray:
     other = np.where(u >= 0.0, u + math.pi, u - math.pi)
     sinc = np.sinc(0.5 * shift / math.pi)
     return 0.125 * sinc * sinc * ker / (other * other * om)
-
-
-class TestCavityMode:
-    def test_dirichlet_boundaries(self):
-        lo, hi = GEOM.walls
-        assert cavity_mode(1, lo, 0.3, GEOM) == 0.0
-        assert abs(cavity_mode(1, hi, 0.3, GEOM)) == pytest.approx(0.0, abs=1e-15)
-
-    def test_midpoint_amplitude(self):
-        assert cavity_mode(1, 0.0, 0.0, GEOM) == pytest.approx(1.0 / math.sqrt(math.pi))
-
-    def test_zero_outside(self):
-        assert cavity_mode(1, 3.0, 0.1, GEOM) == 0.0
-        assert cavity_mode(2, -3.0, 0.1, GEOM) == 0.0
-
-    def test_modulus_time_independent(self):
-        for t in [0.0, 0.7, 13.0]:
-            assert abs(cavity_mode(3, 0.2, t, GEOM)) == pytest.approx(
-                abs(cavity_mode(3, 0.2, 0.0, GEOM)), rel=1e-13)
-
-    def test_invalid_mode_index(self):
-        with pytest.raises(ValueError):
-            cavity_mode(0, 0.0, 0.0, GEOM)
-
-
-class TestPlaneWaveMode:
-    def test_modulus(self):
-        for K in [-2.0, 0.0, 5.0]:
-            om = math.hypot(K, 1.0)
-            for x, t in [(0.0, 0.0), (1.3, -2.0)]:
-                assert abs(plane_wave_mode(K, x, t, 1.0)) == pytest.approx(
-                    1.0 / math.sqrt(4.0 * math.pi * om), rel=1e-14)
-
-    def test_k_zero_frequency_is_mass(self):
-        v = plane_wave_mode(0.0, 0.0, 1.0, 2.0)
-        assert v == pytest.approx(cmath.exp(-2.0j) / math.sqrt(8.0 * math.pi))
-
-    def test_dispersion_above_mass(self):
-        for K in np.linspace(-10, 10, 21):
-            assert math.hypot(K, 1.5) >= 1.5
-
-    def test_requires_positive_mass(self):
-        with pytest.raises(ValueError):
-            plane_wave_mode(1.0, 0.0, 0.0, 0.0)
 
 
 class TestDecayProbability:
