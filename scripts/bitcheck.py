@@ -11,6 +11,9 @@ cannot share one process.  Both run:
   are compared as float.hex, together with the name of the check it failed;
 * the values behind the deviation-sweep anchors: the criterion-9 deviations
   and the scaled overlap at alpha = 0.5;
+* the worst value of each verify check (criteria 1-4 and 8), which runs the
+  scalar Bessel selector, and criterion 11's proper times (value and error
+  estimate), which run integrate() outside the observables;
 * three CLI sweeps, whose CSV output is compared byte for byte: criterion 12's
   alpha sweep of the accelerated rate, and a t_or_tau sweep of the
   accelerated and of the stationary probability.
@@ -46,6 +49,7 @@ def emit(root: Path, seeds: list[int]) -> dict:
     """Everything compared, computed with the package in root/src."""
     sys.path[:0] = [str(root / "src"), str(ROOT / "perfbench")]
     import cavityclock as cc
+    from cavityclock import verify
     from cavityclock.cli import main as cli_main
     from cavityclock.core import FieldParams
     from workloads import CRITERION_9_FROZEN, WORKLOADS
@@ -65,6 +69,12 @@ def emit(root: Path, seeds: list[int]) -> dict:
                for a in CRITERION_9_FROZEN}
     rate = cc.decay_rate_accelerated_longtime(cc.cavity_geometry(1.0, 0.5), FieldParams(1.0))
     anchors["scaled overlap alpha=0.5"] = rate.diagnostics["scaled_overlap"].hex()
+    for check in verify.run_checks():
+        anchors[f"verify {check.group} worst"] = float(check.worst).hex()
+    for name, traj, t1 in [("constant velocity", cc.Trajectory.constant_velocity(0.6), 1.0),
+                           ("sinusoidal", cc.Trajectory.sinusoidal(1e-4, 100.0), 10.0)]:
+        tau = cc.proper_time(traj, 0.0, t1)
+        anchors[f"proper time {name}"] = [tau.value.hex(), tau.error_estimate.hex()]
     csvs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in SWEEPS.items():
@@ -90,9 +100,10 @@ def compare(mine: dict, theirs: dict) -> int:
         failed = sum(failure is not None for _values, failure in ops)
         print(f"{key}: {len(ops)} ops ({n_values} values, {failed} failed), {differ} differ")
         differences += differ
-    differ = sum(mine["anchors"][k] != theirs["anchors"][k] for k in mine["anchors"])
-    print(f"anchor values: {len(mine['anchors'])}, {differ} differ")
-    differences += differ
+    differ = [k for k in mine["anchors"] if mine["anchors"][k] != theirs["anchors"][k]]
+    print(f"anchor values: {len(mine['anchors'])}, {len(differ)} differ"
+          + "".join(f"\n  differs: {k}" for k in differ))
+    differences += len(differ)
     for name, (code, text) in mine["csvs"].items():
         same = [code, text] == theirs["csvs"][name]
         print(f"{name}: exit {code}, {len(text.encode())} bytes, "

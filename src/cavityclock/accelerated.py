@@ -176,10 +176,8 @@ def spatial_overlap(Omega: float, geometry: CavityGeometry, M: float,
 
 
 def _overlap_cfg(cfg: QuadratureConfig | None) -> QuadratureConfig:
-    base = cfg or QuadratureConfig()
     # the overlap is an inner integral; its own tolerances are relative only
-    return replace(base, abs_tol=1e-300, domain_cutoff=None,
-                   singular_points=(), resonance_points=())
+    return replace(cfg or QuadratureConfig(), abs_tol=1e-300)
 
 
 def decay_probability_accelerated(geometry: CavityGeometry, fields: FieldParams,
@@ -230,9 +228,8 @@ def decay_probability_accelerated(geometry: CavityGeometry, fields: FieldParams,
     om_hi = truncation_point(tail, max(4.0 * w1, 2.0 * M, 8.0 * alpha),
                              budget / 10.0)
 
-    work = replace(cfg.with_resonance(w1, 2.0 * math.pi / tau),
-                   abs_tol=budget, domain_cutoff=None)
-    res = integrate(integrand, om_lo, om_hi, work)
+    res = integrate(integrand, om_lo, om_hi, replace(cfg, abs_tol=budget),
+                    resonances=((w1, 2.0 * math.pi / tau),))
     lam2_pref = lam * lam * pref
     err = lam2_pref * (res.error_estimate + 2.0 * overlap_est[0] * abs(res.value))
     return DecayResult(lam2_pref * res.value, "probability", err, regime,

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod integration over finite and truncated semi-infinite intervals.
+"""Adaptive Gauss-Kronrod integration over finite intervals.
 
 The engine is a plain globally adaptive bisection scheme on 7-15 Gauss-Kronrod
 panels.  It exists instead of scipy.integrate.quad because the decay integrals
@@ -7,7 +7,10 @@ need guarantees quad does not give:
 * declared removable singularities are placed on panel boundaries and are
   therefore never sampled (Kronrod nodes are interior),
 * resonance peaks of width ~1/t are pre-split before refinement starts,
-* results are bitwise deterministic for a fixed config (panel values and
+* the domain (limits, singular points, resonances) is an argument of each
+  call, so it cannot leak into other integrals; an infinite limit is refused,
+  the caller truncates it (truncation_point) and owns the tail bound,
+* results are bitwise deterministic for a fixed call (panel values and
   errors are summed exactly, so their order does not matter),
 * evaluation counts and a converged flag are reported.
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -60,30 +63,20 @@ _WG_FULL[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and domain annotations for the adaptive integrator.
-
-    singular_points lists abscissae where the integrand is only defined by a
-    finite limit; they become panel boundaries and are never evaluated.
-    resonance_points lists (center, width) pairs; the domain is pre-split at
-    center +- k*width for k in (1, 4, 16).  domain_cutoff replaces an infinite
-    upper limit; the caller owns the tail bound that justifies it.
-    """
+    """The caller's tolerances for the adaptive integrator: a result converges
+    when its error estimate is at most max(abs_tol, rel_tol * |value|) within
+    max_subdivisions bisections.  The domain is not part of the config; it is
+    given to each integrate() call."""
 
     rel_tol: float = DEFAULT_REL_TOL
     abs_tol: float = DEFAULT_ABS_TOL
     max_subdivisions: int = DEFAULT_MAX_SUBDIVISIONS
-    domain_cutoff: float | None = None
-    singular_points: tuple[float, ...] = ()
-    resonance_points: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("rel_tol and abs_tol must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-
-    def with_resonance(self, center: float, width: float) -> "QuadratureConfig":
-        return replace(self, resonance_points=self.resonance_points + ((center, width),))
 
 
 @dataclass(frozen=True)
@@ -128,12 +121,12 @@ def _add_exact(partials: list[float], xs) -> None:
         partials[i:] = [x]
 
 
-def _breakpoints(a: float, b: float, cfg: QuadratureConfig) -> list[float]:
+def _breakpoints(a: float, b: float, singular=(), resonances=()) -> list[float]:
     pts = {a, b}
-    for s in cfg.singular_points:
+    for s in singular:
         if a < s < b:
             pts.add(float(s))
-    for center, width in cfg.resonance_points:
+    for center, width in resonances:
         if width <= 0:
             raise ValueError("resonance width must be positive")
         for k in (1.0, 4.0, 16.0):
@@ -148,8 +141,7 @@ def _breakpoints(a: float, b: float, cfg: QuadratureConfig) -> list[float]:
     for p in out[1:]:
         if p - kept[-1] > 1e-15 * max(1.0, abs(p), abs(kept[-1])):
             kept.append(p)
-    if kept[-1] != b:
-        kept[-1] = b
+    kept[-1] = b
     return kept
 
 
@@ -168,23 +160,22 @@ def _round_values(fv, xs: np.ndarray) -> np.ndarray:
     return fv
 
 
-def _adaptive(a: float, b: float, cfg: QuadratureConfig | None):
+def _adaptive(a: float, b: float, cfg: QuadratureConfig | None, *,
+              singular=(), resonances=()):
     """The adaptive loop as a generator.  Each round it yields the abscissae
     of the panels it needs next as a list of 15-point arrays, one per panel,
     takes the integrand's values back as a (panels x 15) array, and at the
     end returns the IntegralResult.  integrate() and integrate_rows() drive
     it and check the values (_round_values)."""
     cfg = cfg or QuadratureConfig()
-    if math.isinf(b):
-        if cfg.domain_cutoff is None:
-            raise ValueError("infinite upper limit requires cfg.domain_cutoff")
-        b = cfg.domain_cutoff
+    if math.isinf(a) or math.isinf(b):
+        raise ValueError("integration limits must be finite (see truncation_point)")
     if not (b > a):
         if b == a:
             return IntegralResult(0.0, 0.0, 0, True)
         raise ValueError("integration limits must satisfy a <= b")
 
-    pts = _breakpoints(a, b, cfg)
+    pts = _breakpoints(a, b, singular, resonances)
     if len(pts) < 2:  # [a, b] is below the breakpoints' resolution
         return IntegralResult(0.0, 0.0, 0, True)
     fv = yield [0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo) for lo, hi in zip(pts[:-1], pts[1:])]
@@ -229,8 +220,14 @@ def _adaptive(a: float, b: float, cfg: QuadratureConfig | None):
     return IntegralResult(total, total_err, evaluations, converged)
 
 
-def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """Integrate f over [a, b]; b may be math.inf if cfg.domain_cutoff is set.
+def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = None, *,
+              singular=(), resonances=()) -> IntegralResult:
+    """Integrate f over the finite interval [a, b].
+
+    singular lists abscissae where f is only defined by a finite limit; they
+    become panel boundaries and are never evaluated.  resonances lists
+    (center, width) pairs; [a, b] is pre-split at center and center +-
+    k*width for k in (1, 4, 16).
 
     Returns the best estimate with converged=False when the tolerance was not
     reached within max_subdivisions.  Non-finite samples abort with
@@ -244,7 +241,7 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
     panel by panel whenever f's value at a point does not depend on which
     other points share the call.
     """
-    loop = _adaptive(a, b, cfg)
+    loop = _adaptive(a, b, cfg, singular=singular, resonances=resonances)
     try:
         xss = next(loop)
         while True:
@@ -259,8 +256,8 @@ def integrate_rows(f: Callable, intervals, cfg: QuadratureConfig | None = None) 
     round: f(ids, xs) gets the (panels x 15) abscissae that the unfinished
     integrals need next, ids[p] naming the interval of panel p, and returns
     one value per abscissa, in that shape.  Each integral takes the steps
-    integrate() takes, so its result is integrate()'s whenever f's value at a
-    panel does not depend on the other panels of the call.
+    integrate() takes with no breakpoints, so its result is integrate()'s
+    whenever f's value at a panel does not depend on the other panels.
     """
     loops = [_adaptive(a, b, cfg) for a, b in intervals]
     results: list[IntegralResult | None] = [None] * len(loops)
@@ -286,12 +283,12 @@ def integrate_rows(f: Callable, intervals, cfg: QuadratureConfig | None = None) 
 
 
 def truncation_point(tail_bound: Callable[[float], float], start: float,
-                     budget: float, growth: float = 2.0, max_doublings: int = 60) -> float:
-    """Smallest cutoff in the geometric sequence start * growth^k whose
-    caller-supplied tail bound falls below budget."""
+                     budget: float) -> float:
+    """Smallest cutoff in the sequence start * 2^k, k < 60, whose
+    caller-supplied tail bound falls below budget (start * 2^60 if none)."""
     c = start
-    for _ in range(max_doublings):
+    for _ in range(60):
         if tail_bound(c) <= budget:
             return c
-        c *= growth
+        c *= 2.0
     return c

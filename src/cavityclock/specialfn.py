@@ -25,7 +25,7 @@ Three things live here:
   form are the vectorized row branches of bessel_k_scaled_rows, which every
   observable uses; the scalar front end bessel_k_imag_order[_log] calls
   them at one point.  Every method self-estimates its relative error; the
-  front end returns the first method meeting the requested tolerance
+  front end returns the first method meeting DEFAULT_BESSEL_TOL
   (series, asymptotic, integral order), or the best estimate otherwise, and
   tags the result with it.  Magnitudes reach e^{-pi nu/2}, far below double
   range for the orders the accelerated-clock integrals need, so log/sign and
@@ -208,7 +208,7 @@ _METHOD_ORDER = (
 )
 
 
-def _k_log_scaled(nu: float, x: float, tol: float) -> tuple[float, float, float, BesselMethod]:
+def _k_log_scaled(nu: float, x: float) -> tuple[float, float, float, BesselMethod]:
     """(log|e^{pi nu/2} K|, sign, rel_est, method) via first-fit selection."""
     best = None
     for method, fn in _METHOD_ORDER:
@@ -216,7 +216,7 @@ def _k_log_scaled(nu: float, x: float, tol: float) -> tuple[float, float, float,
         if out is None:
             continue
         log_abs, sign, est = out
-        if est <= tol:
+        if est <= DEFAULT_BESSEL_TOL:
             return log_abs, sign, est, method
         if best is None or est < best[2]:
             best = (log_abs, sign, est, method)
@@ -227,8 +227,7 @@ def _k_log_scaled(nu: float, x: float, tol: float) -> tuple[float, float, float,
     return best
 
 
-def bessel_k_imag_order_log(nu: float, x: float,
-                            tol: float = DEFAULT_BESSEL_TOL) -> LogBesselEval:
+def bessel_k_imag_order_log(nu: float, x: float) -> LogBesselEval:
     """K_{i nu}(x) in log/sign form, usable at any representable order.
 
     log_abs is -inf with sign 0, and the estimate inf, when no method gives
@@ -237,15 +236,15 @@ def bessel_k_imag_order_log(nu: float, x: float,
     if not x > 0:
         raise ValueError("x must be positive")
     nu = abs(float(nu))
-    log_scaled, sign, est, method = _k_log_scaled(nu, x, tol)
+    log_scaled, sign, est, method = _k_log_scaled(nu, x)
     return LogBesselEval(log_scaled - 0.5 * math.pi * nu, sign, est, method)
 
 
-def bessel_k_imag_order(nu: float, x: float, tol: float = DEFAULT_BESSEL_TOL) -> BesselEval:
+def bessel_k_imag_order(nu: float, x: float) -> BesselEval:
     """K_{i nu}(x) as a plain float; raises SpecialFunctionRangeError when the
     value leaves double range (the log variant then still works) or when no
     method gives a value."""
-    ev = bessel_k_imag_order_log(nu, x, tol)
+    ev = bessel_k_imag_order_log(nu, x)
     if ev.sign == 0.0:
         raise SpecialFunctionRangeError(f"no method evaluates K_(i {nu})({x})")
     if ev.log_abs > _LOG_MAX or ev.log_abs < _LOG_MIN:
@@ -390,16 +389,18 @@ def _debye_oscillatory_rows(nu: np.ndarray, x: np.ndarray, osc: np.ndarray,
     s_even = np.add.accumulate(u[0::2], axis=0)[-1]
     s_odd = np.add.accumulate(u[1::2], axis=0)[-1]
     last = np.abs(u[-1])
-    psi = n * theta - w - 0.25 * math.pi
+    phase = n * theta
+    psi = phase - w - 0.25 * math.pi
     val = s_even * np.cos(psi) - s_odd * np.sin(psi)
     out[osc] = np.sqrt(2.0 * math.pi / w) * val
     denom = np.maximum(np.abs(val), 1e-300)
+    # plus the rounding of Psi's two large terms, which cancel in Psi (2 eps |Psi| misses it)
+    rounding = 2.0 * _EPS * (phase + w)
     ids, starts, _counts = _row_groups(osc)
-    _row_max(4.0 * last / denom, ids, starts, worst)
+    _row_max((4.0 * last + rounding) / denom, ids, starts, worst)
 
 
-def bessel_k_scaled_rows(nu: np.ndarray, x: np.ndarray,
-                         tol: float = DEFAULT_BESSEL_TOL) -> tuple[np.ndarray, np.ndarray]:
+def bessel_k_scaled_rows(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized e^{pi nu/2} K_{i nu}(x) row by row: row r of the 2-D x at
     order nu[r].  Returns (values, worst) with worst[r] the worst relative
     error estimate of row r, at least 1e-15.
@@ -445,21 +446,20 @@ def bessel_k_scaled_rows(nu: np.ndarray, x: np.ndarray,
         if mask.any():
             branch(nu, x, mask, out, worst)
     for r, c in zip(*np.nonzero(rest)):
-        log_scaled, sign, est, _m = _k_log_scaled(float(nu[r]), float(x[r, c]), tol)
+        log_scaled, sign, est, _m = _k_log_scaled(float(nu[r]), float(x[r, c]))
         out[r, c] = sign * math.exp(min(log_scaled, _LOG_MAX)) if sign else 0.0
         worst[r] = max(worst[r], est)
     return out, worst
 
 
-def bessel_k_scaled_values(nu: float, x: np.ndarray,
-                           tol: float = DEFAULT_BESSEL_TOL) -> tuple[np.ndarray, float]:
+def bessel_k_scaled_values(nu: float, x: np.ndarray) -> tuple[np.ndarray, float]:
     """bessel_k_scaled_rows for one order over an array of arguments of any
     shape: (values, worst relative error estimate).  The values depend on
     which points share the call: the series takes as many terms as the
     largest argument needs, so adding a larger argument can move the others
     in the last bit."""
     x = np.asarray(x, dtype=float)
-    vals, worst = bessel_k_scaled_rows(np.array([nu], dtype=float), x.reshape(1, -1), tol)
+    vals, worst = bessel_k_scaled_rows(np.array([nu], dtype=float), x.reshape(1, -1))
     return vals.reshape(x.shape), float(worst[0])
 
 # ----------------------------------------------------------------------

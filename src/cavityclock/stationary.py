@@ -80,14 +80,13 @@ def decay_probability_stationary(geometry: CavityGeometry, fields: FieldParams,
     budget = cfg.abs_tol / scale
     uc = _cutoff(m, ts, budget)
 
-    work = replace(cfg, abs_tol=budget, domain_cutoff=None,
-                   singular_points=cfg.singular_points + (math.pi,))
+    resonances = ()
     if math.pi > m:
         u_res = math.sqrt(math.pi**2 - m * m)
-        width = (2.0 * math.pi / ts) * (math.pi / u_res)
-        work = work.with_resonance(u_res, width)
+        resonances = ((u_res, (2.0 * math.pi / ts) * (math.pi / u_res)),)
 
-    res = integrate(lambda u: _integrand_scaled(u, m, ts), 0.0, uc, work)
+    res = integrate(lambda u: _integrand_scaled(u, m, ts), 0.0, uc,
+                    replace(cfg, abs_tol=budget), singular=(math.pi,), resonances=resonances)
     lam2 = lam * lam
     return DecayResult(lam2 * scale * res.value, "probability",
                        lam2 * scale * res.error_estimate, regime,
@@ -95,8 +94,7 @@ def decay_probability_stationary(geometry: CavityGeometry, fields: FieldParams,
                         "converged": res.converged})
 
 
-def decay_rate_stationary_longtime(geometry: CavityGeometry, fields: FieldParams,
-                                   guard: float = NEAR_THRESHOLD_GUARD) -> DecayResult:
+def decay_rate_stationary_longtime(geometry: CavityGeometry, fields: FieldParams) -> DecayResult:
     """Long-time decay rate of the resting clock:
 
         rate = 4 lam^2 pi cos^2(kappa l/2) / (l^2 M^4 kappa),
@@ -106,9 +104,9 @@ def decay_rate_stationary_longtime(geometry: CavityGeometry, fields: FieldParams
     threshold).  Diverges at threshold, hence the relative guard."""
     l, M, lam = geometry.l, fields.M, fields.lam
     thr = math.pi / l
-    if abs(thr - M) <= guard * thr:
+    if abs(thr - M) <= NEAR_THRESHOLD_GUARD * thr:
         raise NearThresholdError(
-            f"pi/l - M = {thr - M:.3e} within guard {guard * thr:.3e}: "
+            f"pi/l - M = {thr - M:.3e} within guard {NEAR_THRESHOLD_GUARD * thr:.3e}: "
             "long-time rate diverges; use the finite-time probability")
     if M >= thr:
         return DecayResult(0.0, "rate", 0.0, REGIME_LONG, {"below_threshold": True})

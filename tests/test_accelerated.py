@@ -395,9 +395,9 @@ class TestConvergenceFlag:
         outer = []
         integrate = accelerated.integrate
 
-        def recording(f, a, b, cfg=None):
-            res = integrate(f, a, b, cfg)
-            if cfg is not None and cfg.resonance_points:
+        def recording(f, a, b, cfg=None, **domain):
+            res = integrate(f, a, b, cfg, **domain)
+            if domain.get("resonances"):
                 outer.append(res.converged)
             return res
 

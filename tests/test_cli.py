@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cavityclock import accelerated, quadrature
+from cavityclock import accelerated, quadrature, verify
 from cavityclock.cli import (CSV_COLUMNS, EXIT_NUMERICAL, EXIT_OK,
                              EXIT_VALIDATION, build_parser, main)
 from cavityclock.verify import run_checks
@@ -180,8 +180,10 @@ class TestVerify:
         assert len(results) == 1 and results[0].group == "gamma"
         assert results[0].passed
 
-    def test_perturbation_hook_fails(self):
-        results = run_checks(only="gamma", gamma_perturbation=0.01)
+    def test_perturbation_hook_fails(self, monkeypatch):
+        exact = verify.gamma_abs_sq_imag
+        monkeypatch.setattr(verify, "gamma_abs_sq_imag", lambda y: 1.01 * exact(y))
+        results = run_checks(only="gamma")
         assert not results[0].passed
 
     def test_cli_verify_exit_codes(self):

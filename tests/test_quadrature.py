@@ -22,15 +22,13 @@ class TestBasics:
         assert r.value == pytest.approx(1.0 / 3.0, rel=1e-13)
         assert r.error_estimate <= max(1e-12, 1e-8 * abs(r.value))
 
-    def test_semi_infinite_with_cutoff(self):
-        cfg = QuadratureConfig(domain_cutoff=40.0)
-        r = integrate(lambda x: np.exp(-x), 0.0, math.inf, cfg)
-        assert r.converged
-        assert r.value == pytest.approx(1.0, rel=1e-10)
-
-    def test_semi_infinite_requires_cutoff(self):
-        with pytest.raises(ValueError):
-            integrate(lambda x: np.exp(-x), 0.0, math.inf)
+    def test_infinite_limits_refused(self):
+        # a caller truncates an infinite domain itself (truncation_point)
+        for a, b in [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                integrate(lambda x: np.exp(-x * x), a, b)
+            with pytest.raises(ValueError, match="finite"):
+                integrate_rows(lambda ids, xs: np.exp(-xs * xs), [(0.0, 1.0), (a, b)])
 
     def test_oscillatory(self):
         r = integrate(np.sin, 0.0, math.pi)
@@ -77,7 +75,7 @@ def resumming_reference(f, a, b, cfg):
         value, err = _panel(f(xs), lo, hi)
         heapq.heappush(heap, (-err, lo, hi, value, err))
 
-    pts = _breakpoints(a, b, cfg)
+    pts = _breakpoints(a, b)
     for lo, hi in zip(pts[:-1], pts[1:]):
         add_panel(lo, hi)
     subdivisions = 0
@@ -153,14 +151,6 @@ class TestLockstep:
         assert rounds[38] == [3, 3, 4, 4]
         assert rounds[39:] == [[4, 4], [4, 4]]
 
-    def test_breakpoints_and_cutoff(self):
-        cfg = QuadratureConfig(singular_points=(0.5,), domain_cutoff=30.0).with_resonance(2.0, 0.1)
-        fs = [lambda x: np.exp(-x) * np.cos(3.0 * x), lambda x: 1.0 / (1.0 + x * x)]
-        intervals = [(0.0, math.inf), (0.0, 3.0)]
-        got = integrate_rows(self.rows_of(fs), intervals, cfg)
-        want = [integrate(g, a, b, cfg) for g, (a, b) in zip(fs, intervals)]
-        assert [bits(r) for r in got] == [bits(r) for r in want]
-
     def test_nonfinite_names_same_abscissa(self):
         def bad(x):
             return np.where(np.abs(x - 0.3) < 0.01, np.nan, np.ones_like(x))
@@ -176,11 +166,11 @@ class TestLockstep:
         assert integrate_rows(lambda ids, xs: xs, []) == []
 
 
-def per_panel(f, a, b, cfg=None):
+def per_panel(f, a, b, cfg=None, **domain):
     """The panel-by-panel reference for integrate(): f gets one panel's 15
     abscissae per call, and each panel's values are checked in panel order
     once the round's calls are made."""
-    loop = _adaptive(a, b, cfg)
+    loop = _adaptive(a, b, cfg, **domain)
     try:
         xs = next(loop)
         while True:
@@ -204,9 +194,9 @@ class TestOneCallPerRound:
             sizes.append(x.shape)
             return np.sin(40.0 * x) / ((x - 0.3) ** 2 + 1e-5)
 
-        cfg = QuadratureConfig(singular_points=(0.5,)).with_resonance(1.2, 0.05)
-        r = integrate(f, -1.0, 2.0, cfg)
-        initial = len(_breakpoints(-1.0, 2.0, cfg)) - 1
+        domain = {"singular": (0.5,), "resonances": ((1.2, 0.05),)}
+        r = integrate(f, -1.0, 2.0, **domain)
+        initial = len(_breakpoints(-1.0, 2.0, **domain)) - 1
         subdivisions = (r.evaluations // 15 - initial) // 2
         assert initial > 1 and subdivisions > 10
         assert sizes == [(15 * initial,)] + [(30,)] * subdivisions
@@ -218,9 +208,9 @@ class TestOneCallPerRound:
         # resonance included, against the panel-by-panel driver
         pairs = []
 
-        def both(f, a, b, cfg):
-            got = integrate(f, a, b, cfg)
-            pairs.append((bits(got), bits(per_panel(f, a, b, cfg))))
+        def both(f, a, b, cfg, **domain):
+            got = integrate(f, a, b, cfg, **domain)
+            pairs.append((bits(got), bits(per_panel(f, a, b, cfg, **domain))))
             return got
 
         monkeypatch.setattr(stationary, "integrate", both)
@@ -229,14 +219,15 @@ class TestOneCallPerRound:
         assert pairs[0][0] == pairs[0][1]
         assert pairs[0][0][2] > 15 * 20
 
-    @pytest.mark.parametrize("f, a, b, cfg", [
+    @pytest.mark.parametrize("f, a, b, cfg, domain", [
         (lambda u: _integrand_scaled(u, 1.0, 30.0), 0.0, 40.0,
-         QuadratureConfig(rel_tol=1e-14, max_subdivisions=25)),
-        (lambda x: np.exp(-x) * np.cos(3.0 * x) / (1.0 + np.abs(x - 2.0)), 0.0, math.inf,
-         QuadratureConfig(singular_points=(0.5,), domain_cutoff=30.0).with_resonance(2.0, 0.1)),
+         QuadratureConfig(rel_tol=1e-14, max_subdivisions=25), {}),
+        # a semi-infinite decaying integrand cut off at 30
+        (lambda x: np.exp(-x) * np.cos(3.0 * x) / (1.0 + np.abs(x - 2.0)), 0.0, 30.0,
+         None, {"singular": (0.5,), "resonances": ((2.0, 0.1),)}),
     ], ids=["unconverged", "breakpoints, resonance and cutoff"])
-    def test_same_bits_as_per_panel(self, f, a, b, cfg):
-        got, want = integrate(f, a, b, cfg), per_panel(f, a, b, cfg)
+    def test_same_bits_as_per_panel(self, f, a, b, cfg, domain):
+        got, want = integrate(f, a, b, cfg, **domain), per_panel(f, a, b, cfg, **domain)
         assert bits(got) == bits(want)
         assert got.evaluations > 15 * 20
 
@@ -272,8 +263,8 @@ class TestResonant:
         # int sin^2(u t/2)/u^2 du over the real line is pi t/2; over [0,10]
         # around the u=1 peak the tails cost well under 0.5%
         t = 200.0
-        cfg = QuadratureConfig().with_resonance(1.0, 2 * math.pi / t)
-        r = integrate(lambda x: resonance_kernel(x - 1.0, t), 0.0, 10.0, cfg)
+        r = integrate(lambda x: resonance_kernel(x - 1.0, t), 0.0, 10.0,
+                      resonances=((1.0, 2 * math.pi / t),))
         assert r.converged
         assert r.value == pytest.approx(math.pi * t / 2.0, rel=5e-3)
 
@@ -284,13 +275,13 @@ class TestResonant:
         assert not r.converged
 
     def test_zero_integrand(self):
-        cfg = QuadratureConfig().with_resonance(1.0, 0.1)
-        r = integrate(lambda x: resonance_kernel(x - 1.0, 0.0), 0.0, 10.0, cfg)
+        r = integrate(lambda x: resonance_kernel(x - 1.0, 0.0), 0.0, 10.0,
+                      resonances=((1.0, 0.1),))
         assert r.value == 0.0
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):
-            integrate(lambda x: x, 0.0, 1.0, QuadratureConfig().with_resonance(0.5, 0.0))
+            integrate(lambda x: x, 0.0, 1.0, resonances=((0.5, 0.0),))
 
 
 class TestSingularPoints:
@@ -303,8 +294,7 @@ class TestSingularPoints:
                 hits.append(True)
             return np.where(x == 0.5, np.nan, np.ones_like(x))
 
-        cfg = QuadratureConfig(singular_points=(0.5,))
-        r = integrate(f, 0.0, 1.0, cfg)
+        r = integrate(f, 0.0, 1.0, singular=(0.5,))
         assert not hits
         assert r.value == pytest.approx(1.0, rel=1e-12)
 
@@ -338,8 +328,8 @@ class TestProperties:
         devs = []
         for rel in (1e-4, 1e-6, 1e-8):
             cfg = QuadratureConfig(rel_tol=rel, abs_tol=1e-15)
-            cfg = cfg.with_resonance(math.sqrt(math.pi**2 - 1.0), 2 * math.pi / ts * 1.05)
-            r = integrate(lambda u: _integrand_scaled(u, m, ts), 0.0, 40.0, cfg)
+            r = integrate(lambda u: _integrand_scaled(u, m, ts), 0.0, 40.0, cfg,
+                          resonances=((math.sqrt(math.pi**2 - 1.0), 2 * math.pi / ts * 1.05),))
             devs.append(abs(r.value - oracle))
         assert devs[1] <= devs[0] + 1e-16
         assert devs[2] <= devs[1] + 1e-16
