@@ -14,9 +14,9 @@ cannot share one process.  Both run:
 * the worst value of each verify check (criteria 1-4 and 8), which runs the
   scalar Bessel selector, and criterion 11's proper times (value and error
   estimate), which run integrate() outside the observables;
-* three CLI sweeps, whose CSV output is compared byte for byte: criterion 12's
-  alpha sweep of the accelerated rate, and a t_or_tau sweep of the
-  accelerated and of the stationary probability.
+* four CLI sweeps, whose CSV output is compared byte for byte: criterion 12's
+  alpha sweep of the accelerated rate, a t_or_tau sweep of the accelerated
+  and of the stationary probability, and the README's deviation sweep.
 
 Prints what was compared and exits 1 on any difference.
 """
@@ -42,6 +42,8 @@ SWEEPS = {
                                    "--sweep", "t_or_tau:1:50:4:log"],
     "stationary t_or_tau sweep": ["stationary", "--mass", "1", "--l", "1",
                                   "--sweep", "t_or_tau:0.01:400:20:log"],
+    "deviation alpha sweep": ["deviation", "--l", "1", "--mass", "1", "--alpha", "0.02",
+                              "--sweep", "alpha:0.02:1.9:20:log"],
 }
 
 

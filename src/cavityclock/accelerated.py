@@ -52,27 +52,6 @@ OMEGA_FLOOR_FRACTION = 1e-8  # lower endpoint of the Omega integral, in units of
 
 
 @dataclass(frozen=True)
-class SqueezingFactor:
-    """Two-mode squeezing of a Rindler frequency: tanh r = e^{-pi Omega/alpha},
-    thermal weight sinh^2 r = 1/(e^{2 pi Omega/alpha} - 1)."""
-
-    omega: float
-    alpha: float
-    r: float
-    thermal_weight: float
-
-
-def squeezing_factor(Omega: float, alpha: float) -> SqueezingFactor:
-    if not (Omega > 0 and alpha > 0):
-        raise ValueError("Omega and alpha must be positive")
-    theta = math.pi * Omega / alpha
-    e = math.exp(-theta)
-    r = math.atanh(e) if e < 1.0 else math.inf
-    weight = math.exp(-2.0 * theta) / -math.expm1(-2.0 * theta)
-    return SqueezingFactor(Omega, alpha, r, weight)
-
-
-@dataclass(frozen=True)
 class AveragingWindow:
     """Uniform acceleration window alpha in [center (1-delta), center (1+delta)]."""
 
@@ -288,16 +267,27 @@ def averaged_decay_rate(geometry: CavityGeometry, fields: FieldParams,
                         "converged": all(r.diagnostics["converged"] for r in samples)})
 
 
-def ideal_clock_deviation(geometry: CavityGeometry, fields: FieldParams,
-                          window: AveragingWindow | None = None,
-                          cfg: QuadratureConfig | None = None) -> float:
+def ideal_clock_deviation_result(geometry: CavityGeometry, fields: FieldParams,
+                                 window: AveragingWindow | None = None,
+                                 cfg: QuadratureConfig | None = None) -> DecayResult:
     """Signed relative deviation of the averaged accelerated rate from the
-    resting-clock rate; zero means proper time alone fixes the clock rate.
-    The coupling cancels in the ratio."""
+    resting-clock rate (kind='deviation'); zero means proper time alone fixes
+    the clock rate.  The coupling cancels in the ratio.  The error estimate
+    adds the two rates' estimates relative to the resting rate; the
+    diagnostics are the averaged rate's."""
     resting = cavity_geometry(geometry.l, 0.0)
     stat = decay_rate_stationary_longtime(resting, fields)
     if stat.value == 0.0:
         raise UndefinedRatioError(
             "stationary rate vanishes (pi/l <= M); deviation undefined")
     acc = averaged_decay_rate(geometry, fields, window, cfg)
-    return acc.value / stat.value - 1.0
+    return DecayResult(acc.value / stat.value - 1.0, "deviation",
+                       (acc.error_estimate + stat.error_estimate) / stat.value,
+                       REGIME_LONG, acc.diagnostics)
+
+
+def ideal_clock_deviation(geometry: CavityGeometry, fields: FieldParams,
+                          window: AveragingWindow | None = None,
+                          cfg: QuadratureConfig | None = None) -> float:
+    """The deviation alone: ideal_clock_deviation_result(...).value."""
+    return ideal_clock_deviation_result(geometry, fields, window, cfg).value

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import accelerated, quadrature, stationary
 from .accelerated import AveragingWindow
-from .core import DecayResult, FieldParams, REGIME_LONG
+from .core import FieldParams
 from .errors import (HorizonError, IntegrandError, NearThresholdError,
                      SpecialFunctionRangeError, SuperluminalPathError,
                      UndefinedRatioError, WedgeDomainError)
@@ -59,6 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coupling strength (probability scales as lambda^2)")
         if with_alpha:
             p.add_argument("--alpha", type=float, help="proper acceleration of the cavity center")
+            p.add_argument("--avg-width", type=float,
+                           default=accelerated.DEFAULT_AVG_RELATIVE_HALFWIDTH,
+                           help="relative halfwidth of the acceleration window")
+            p.add_argument("--avg-samples", type=int,
+                           default=accelerated.DEFAULT_AVG_SAMPLES,
+                           help="samples across the acceleration window")
         p.add_argument("--time", type=float, default=None,
                        help="duration (lab time t or proper time tau)")
         p.add_argument("--rate", action="store_true",
@@ -72,27 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", type=str, default="stdout",
                        help="output path, or 'stdout'")
 
-    p_stat = sub.add_parser("stationary", help="resting cavity clock")
+    # no abbreviated flags: _apply_config tells given flags by their full names
+    p_stat = sub.add_parser("stationary", help="resting cavity clock", allow_abbrev=False)
     common(p_stat, with_alpha=False)
 
-    p_acc = sub.add_parser("accelerated", help="uniformly accelerated cavity clock")
+    p_acc = sub.add_parser("accelerated", help="uniformly accelerated cavity clock",
+                           allow_abbrev=False)
     common(p_acc, with_alpha=True)
     p_acc.add_argument("--averaged", action="store_true",
                        help="average the long-time rate over the acceleration window")
-    p_acc.add_argument("--avg-width", type=float,
-                       default=accelerated.DEFAULT_AVG_RELATIVE_HALFWIDTH,
-                       help="relative halfwidth of the acceleration window")
-    p_acc.add_argument("--avg-samples", type=int,
-                       default=accelerated.DEFAULT_AVG_SAMPLES,
-                       help="samples across the acceleration window")
 
-    p_dev = sub.add_parser("deviation",
+    p_dev = sub.add_parser("deviation", allow_abbrev=False,
                            help="averaged accelerated rate over resting rate, minus one")
     common(p_dev, with_alpha=True)
-    p_dev.add_argument("--avg-width", type=float,
-                       default=accelerated.DEFAULT_AVG_RELATIVE_HALFWIDTH)
-    p_dev.add_argument("--avg-samples", type=int,
-                       default=accelerated.DEFAULT_AVG_SAMPLES)
 
     p_ver = sub.add_parser("verify", help="run the built-in verification suite")
     p_ver.add_argument("--only", type=str, default=None, choices=CHECK_GROUPS)
@@ -142,16 +140,23 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _param_columns(args: argparse.Namespace, overrides: dict) -> dict:
+    """The parameter columns of one row, ok or error alike, with sweep
+    overrides applied; t_or_tau is empty for rates and deviations."""
+    mode = args.command
+    timed = not args.rate and mode != "deviation"
+    return {"mode": mode, "l": overrides.get("l", args.l), "M": overrides.get("M", args.mass),
+            "alpha": 0.0 if mode == "stationary" else overrides.get("alpha", args.alpha),
+            "lambda": args.lam,
+            "t_or_tau": overrides.get("t_or_tau", args.time) if timed else ""}
+
+
 def _evaluate(args: argparse.Namespace, overrides: dict) -> dict:
     """Compute one record for the current mode with sweep overrides applied."""
-    mode = args.command
-    l = overrides.get("l", args.l)
-    M = overrides.get("M", args.mass)
-    alpha = overrides.get("alpha", getattr(args, "alpha", None))
-    duration = overrides.get("t_or_tau", args.time)
-    lam = args.lam
+    row = _param_columns(args, overrides)
+    mode, l, alpha, duration = row["mode"], row["l"], row["alpha"], row["t_or_tau"]
     cfg = QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    fields = FieldParams(M=M, lam=lam)
+    fields = FieldParams(M=row["M"], lam=args.lam)
 
     if mode == "stationary":
         geom = cavity_geometry(l, 0.0)
@@ -161,7 +166,6 @@ def _evaluate(args: argparse.Namespace, overrides: dict) -> dict:
             if duration is None:
                 raise ValueError("missing required parameter --time (or use --rate)")
             result = stationary.decay_probability_stationary(geom, fields, duration, cfg)
-        alpha_out = 0.0
     elif mode == "accelerated":
         geom = cavity_geometry(l, alpha)
         if args.rate:
@@ -174,29 +178,19 @@ def _evaluate(args: argparse.Namespace, overrides: dict) -> dict:
             if duration is None:
                 raise ValueError("missing required parameter --time (or use --rate)")
             result = accelerated.decay_probability_accelerated(geom, fields, duration, cfg)
-        alpha_out = alpha
     elif mode == "deviation":
         geom = cavity_geometry(l, alpha)
         window = AveragingWindow(alpha, args.avg_width, args.avg_samples)
-        resting = cavity_geometry(l, 0.0)
-        stat = stationary.decay_rate_stationary_longtime(resting, fields)
-        if stat.value == 0.0:
-            raise UndefinedRatioError("stationary rate vanishes (pi/l <= M)")
-        acc = accelerated.averaged_decay_rate(geom, fields, window, cfg)
-        dev = acc.value / stat.value - 1.0
-        err = (acc.error_estimate + stat.error_estimate) / stat.value
-        result = DecayResult(dev, "deviation", err, REGIME_LONG, acc.diagnostics)
-        alpha_out = alpha
+        result = accelerated.ideal_clock_deviation_result(geom, fields, window, cfg)
     else:  # pragma: no cover
         raise ValueError(f"unknown mode {mode}")
 
     if not result.diagnostics.get("converged", True):
         raise IntegrandError("quadrature did not converge to the requested tolerance")
-    return {"mode": mode, "l": l, "M": M, "alpha": alpha_out, "lambda": lam,
-            "t_or_tau": duration if not args.rate and mode != "deviation" else "",
-            "value": result.value, "value_kind": result.kind,
-            "error_estimate": result.error_estimate, "regime": result.regime,
-            "status": "ok", "message": ""}
+    row.update(value=result.value, value_kind=result.kind,
+               error_estimate=result.error_estimate, regime=result.regime,
+               status="ok", message="")
+    return row
 
 
 def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
@@ -223,11 +217,7 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
 
 
 def _error_row(args, overrides, exc) -> dict:
-    return {"mode": args.command,
-            "l": overrides.get("l", args.l), "M": overrides.get("M", args.mass),
-            "alpha": overrides.get("alpha", getattr(args, "alpha", None)),
-            "lambda": args.lam,
-            "t_or_tau": overrides.get("t_or_tau", args.time) if not args.rate else "",
+    return {**_param_columns(args, overrides),
             "value": "", "value_kind": "", "error_estimate": "", "regime": "",
             "status": "error", "message": f"{type(exc).__name__}: {exc}"}
 

@@ -22,7 +22,7 @@ class UndefinedRatioError(ZeroDivisionError):
 
 
 class SpecialFunctionRangeError(OverflowError):
-    """Value outside the representable dynamic range; use the log variant."""
+    """Value outside the double range, or no method evaluates it."""
 
 
 class IntegrandError(RuntimeError):

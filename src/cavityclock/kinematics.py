@@ -1,5 +1,5 @@
-"""Worldline utilities: proper time, the acceleration invariant, Rindler maps
-and accelerated-cavity geometry.  Natural units, c = 1, 1+1 dimensions."""
+"""Worldline utilities: proper time, Rindler maps and accelerated-cavity
+geometry.  Natural units, c = 1, 1+1 dimensions."""
 
 from __future__ import annotations
 
@@ -17,56 +17,23 @@ from .quadrature import IntegralResult, QuadratureConfig, integrate
 class Trajectory:
     """Timelike worldline given by its velocity history v(t), |v| < 1.
 
-    velocity and acceleration are callables over lab time accepting floats or
-    numpy arrays, so quadrature picks its own abscissae.
+    velocity is a callable over lab time accepting floats or numpy arrays,
+    so quadrature picks its own abscissae.
     """
 
     velocity: Callable
-    acceleration: Callable
-    label: str = ""
-
-    @classmethod
-    def rest(cls) -> "Trajectory":
-        return cls(lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                   lambda t: np.zeros_like(np.asarray(t, dtype=float)), "rest")
 
     @classmethod
     def constant_velocity(cls, v: float) -> "Trajectory":
         if abs(v) >= 1.0:
             raise SuperluminalPathError(f"|v| = {abs(v)} >= 1")
-        return cls(lambda t: np.full_like(np.asarray(t, dtype=float), v),
-                   lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                   f"constant v={v}")
-
-    @classmethod
-    def uniform_acceleration(cls, alpha0: float) -> "Trajectory":
-        """Proper acceleration alpha0, at rest at t = 0."""
-        def v(t):
-            t = np.asarray(t, dtype=float)
-            return alpha0 * t / np.sqrt(1.0 + (alpha0 * t) ** 2)
-
-        def a(t):
-            t = np.asarray(t, dtype=float)
-            return alpha0 / (1.0 + (alpha0 * t) ** 2) ** 1.5
-
-        return cls(v, a, f"uniform alpha={alpha0}")
+        return cls(lambda t: np.full_like(np.asarray(t, dtype=float), v))
 
     @classmethod
     def sinusoidal(cls, amplitude: float, omega: float) -> "Trajectory":
-        """x(t) = A sin(omega t): v = A omega cos(omega t), a = -A omega^2 sin(omega t)."""
+        """x(t) = A sin(omega t): v = A omega cos(omega t)."""
         A, w = float(amplitude), float(omega)
-        return cls(lambda t: A * w * np.cos(w * np.asarray(t, dtype=float)),
-                   lambda t: -A * w * w * np.sin(w * np.asarray(t, dtype=float)),
-                   f"sinusoidal A={A} omega={w}")
-
-
-def _checked_velocity(traj: Trajectory, t: np.ndarray) -> np.ndarray:
-    v = np.asarray(traj.velocity(t), dtype=float)
-    if np.any(np.abs(v) >= 1.0):
-        bad = np.abs(np.atleast_1d(v)) >= 1.0
-        t_bad = float(np.atleast_1d(np.asarray(t, dtype=float))[int(np.argmax(bad))])
-        raise SuperluminalPathError(f"|v(t)| >= 1 at t = {t_bad!r}")
-    return v
+        return cls(lambda t: A * w * np.cos(w * np.asarray(t, dtype=float)))
 
 
 def proper_time(traj: Trajectory, t0: float, t1: float,
@@ -76,23 +43,12 @@ def proper_time(traj: Trajectory, t0: float, t1: float,
         raise ValueError("t1 must be >= t0")
 
     def integrand(t):
-        v = _checked_velocity(traj, t)
+        v = np.asarray(traj.velocity(t), dtype=float)
+        superluminal = np.abs(v) >= 1.0
+        if np.any(superluminal):
+            t_bad = float(t[int(np.argmax(superluminal))])
+            raise SuperluminalPathError(f"|v(t)| >= 1 at t = {t_bad!r}")
         return np.sqrt(1.0 - v * v)
-
-    return integrate(integrand, t0, t1, cfg)
-
-
-def acceleration_invariant(traj: Trajectory, t0: float, t1: float,
-                           cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """integral of a / (1 - v^2) dt, the proper-time integral of the proper
-    acceleration (signed, dimensionless)."""
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
-
-    def integrand(t):
-        v = _checked_velocity(traj, t)
-        a = np.asarray(traj.acceleration(t), dtype=float)
-        return a / (1.0 - v * v)
 
     return integrate(integrand, t0, t1, cfg)
 
@@ -142,14 +98,6 @@ class CavityGeometry:
     @property
     def omega1(self) -> float:
         return self.mode_frequency(1)
-
-    @property
-    def walls(self) -> tuple[float, float]:
-        """Wall coordinates in the frame the modes live in: lab positions for
-        the resting cavity, Rindler positions for the accelerated one."""
-        if self.alpha == 0.0:
-            return self.sigma_minus, self.sigma_plus
-        return self.xi_minus, self.xi_plus
 
 
 def cavity_geometry(l: float, alpha: float) -> CavityGeometry:

@@ -472,16 +472,8 @@ def gamma_abs_sq_imag(y: float) -> float:
         raise ValueError("y must be positive")
     if math.pi * y > 700.0:
         raise SpecialFunctionRangeError(
-            f"|Gamma(i {y})|^2 underflows double precision; use gamma_abs_sq_imag_log")
+            f"|Gamma(i {y})|^2 underflows double precision (pi y > 700)")
     return 2.0 * math.pi * math.exp(-math.pi * y) / (y * -math.expm1(-2.0 * math.pi * y))
-
-
-def gamma_abs_sq_imag_log(y: float) -> float:
-    """log of |Gamma(i y)|^2, stable for any positive y."""
-    if not y > 0:
-        raise ValueError("y must be positive")
-    return (math.log(2.0 * math.pi) - math.log(y) - math.pi * y
-            - math.log1p(-math.exp(-2.0 * math.pi * y)))
 
 
 def resonance_kernel(x, t):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from cavityclock.accelerated import (AveragingWindow, averaged_decay_rate,
                                      decay_probability_accelerated,
                                      decay_rate_accelerated_longtime,
-                                     ideal_clock_deviation, rindler_mode_spatial,
-                                     spatial_overlap, spatial_overlaps, squeezing_factor)
+                                     ideal_clock_deviation, ideal_clock_deviation_result,
+                                     rindler_mode_spatial, spatial_overlap, spatial_overlaps)
 from cavityclock.core import FieldParams
 from cavityclock.errors import HorizonError, UndefinedRatioError
 from cavityclock.kinematics import cavity_geometry
@@ -29,29 +29,6 @@ OVERLAP_REF = -4.93547221062976e-06
 DEVIATION_REGRESSION = {0.02: 0.06731538134850501,
                         0.2: 0.6742484770260255,
                         1.9: 16.179205712651385}
-
-
-class TestSqueezing:
-    @given(om=st.floats(0.05, 30.0), alpha=st.floats(0.05, 5.0))
-    @settings(max_examples=80, deadline=None)
-    def test_thermal_weight_identity(self, om, alpha):
-        # sinh^2(artanh(e^{-pi Om/alpha})) = 1/(e^{2 pi Om/alpha} - 1)
-        s = squeezing_factor(om, alpha)
-        if s.r == math.inf or math.pi * om / alpha > 300.0:
-            return
-        assert math.sinh(s.r) ** 2 == pytest.approx(s.thermal_weight, rel=1e-12)
-
-    def test_weight_vanishes_as_alpha_to_zero(self):
-        weights = [squeezing_factor(1.0, a).thermal_weight for a in (0.5, 0.25, 0.125)]
-        assert weights[0] > weights[1] > weights[2]
-        # faster than any power: successive ratios collapse
-        assert weights[1] / weights[0] > weights[2] / weights[1]
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            squeezing_factor(0.0, 1.0)
-        with pytest.raises(ValueError):
-            squeezing_factor(1.0, 0.0)
 
 
 class TestRindlerMode:
@@ -295,11 +272,11 @@ class TestLongtimeRate:
     def test_resonant_weight_identity(self):
         # the thermal and Gamma factors at resonance collapse to a pure
         # exponential: (1 + sinh^2 r) (Om/alpha) sinh(pi Om/alpha) / pi
-        # = e^{pi Om/alpha} Om / (2 pi alpha)
+        # = e^{pi Om/alpha} Om / (2 pi alpha), with sinh^2 r = 1/(e^{2 pi Om/alpha} - 1)
         for om, alpha in [(1.0, 0.5), (3.07, 0.5), (2.0, 1.3)]:
-            s = squeezing_factor(om, alpha)
             nu = om / alpha
-            lhs = (1.0 + s.thermal_weight) * nu * math.sinh(math.pi * nu) / math.pi
+            thermal_weight = 1.0 / math.expm1(2.0 * math.pi * nu)
+            lhs = (1.0 + thermal_weight) * nu * math.sinh(math.pi * nu) / math.pi
             rhs = math.exp(math.pi * nu) * nu / (2.0 * math.pi)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -365,8 +342,20 @@ class TestDeviation:
 
     def test_undefined_below_threshold(self):
         g = cavity_geometry(1.0, 0.3)
-        with pytest.raises(UndefinedRatioError):
+        with pytest.raises(UndefinedRatioError, match="deviation undefined"):
             ideal_clock_deviation(g, FieldParams(M=4.0))
+
+    def test_result_carries_error_and_diagnostics(self):
+        g = cavity_geometry(1.0, 0.3)
+        window = AveragingWindow(0.3, 0.05, 16)
+        res = ideal_clock_deviation_result(g, FIELDS, window)
+        acc = averaged_decay_rate(g, FIELDS, window)
+        stat = decay_rate_stationary_longtime(cavity_geometry(1.0, 0.0), FIELDS)
+        assert (res.kind, res.regime) == ("deviation", "long-time")
+        assert res.value == acc.value / stat.value - 1.0
+        assert res.error_estimate == (acc.error_estimate + stat.error_estimate) / stat.value
+        assert res.diagnostics == acc.diagnostics
+        assert ideal_clock_deviation(g, FIELDS, window) == res.value
 
 
 class TestConvergenceFlag:

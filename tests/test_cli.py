@@ -9,7 +9,10 @@ import pytest
 
 from cavityclock import accelerated, quadrature, verify
 from cavityclock.cli import (CSV_COLUMNS, EXIT_NUMERICAL, EXIT_OK,
-                             EXIT_VALIDATION, build_parser, main)
+                             EXIT_VALIDATION, _apply_config, build_parser, main)
+from cavityclock.core import FieldParams
+from cavityclock.errors import UndefinedRatioError
+from cavityclock.kinematics import cavity_geometry
 from cavityclock.verify import run_checks
 
 
@@ -82,6 +85,20 @@ class TestRunPoint:
         row = dict(zip(parse_csv(out)[0], parse_csv(out)[1][0]))
         assert row["value_kind"] == "deviation"
         assert float(row["value"]) == pytest.approx(0.674248, rel=1e-4)
+        # the row prints the library's result, bit for bit
+        geom, fields = cavity_geometry(1.0, 0.2), FieldParams(1.0)
+        res = accelerated.ideal_clock_deviation_result(geom, fields)
+        assert float(row["value"]).hex() == res.value.hex()
+        assert float(row["error_estimate"]).hex() == res.error_estimate.hex()
+        assert accelerated.ideal_clock_deviation(geom, fields).hex() == res.value.hex()
+
+    def test_deviation_undefined_below_threshold(self):
+        code, out, err = run_cli(["deviation", "--l", "1", "--mass", "4", "--alpha", "0.2"])
+        with pytest.raises(UndefinedRatioError) as lib:
+            accelerated.ideal_clock_deviation_result(cavity_geometry(1.0, 0.2),
+                                                     FieldParams(4.0))
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err == f"numerical failure: {lib.value}\n"
 
 
 class TestConvergenceGuard:
@@ -126,6 +143,28 @@ class TestSweep:
         msg = dict(zip(header, rows[1]))["message"]
         assert "Horizon" in msg
 
+    @pytest.mark.parametrize("args", [
+        ["stationary", "--rate", "--l", "1", "--mass", "1",
+         "--sweep", "M:3.14159265:3.2:2:lin"],
+        ["deviation", "--l", "1", "--mass", "1", "--alpha", "1", "--time", "3",
+         "--sweep", "alpha:1.0:2.5:3:lin"],
+    ], ids=["stationary near threshold", "deviation past horizon"])
+    def test_error_row_parameter_columns_follow_ok_rows(self, args):
+        code, out, _ = run_cli(args)
+        assert code == EXIT_OK
+        header, rows = parse_csv(out)
+        rows = [dict(zip(header, r)) for r in rows]
+        ok = [r for r in rows if r["status"] == "ok"]
+        errors = [r for r in rows if r["status"] == "error"]
+        assert ok and errors
+        swept = args[-1].split(":")[0]
+        for row in errors:
+            for col in ("l", "M", "alpha", "lambda", "t_or_tau"):
+                if col == swept:
+                    assert row[col] != ""
+                else:
+                    assert row[col] == ok[0][col], col
+
     def test_invalid_specs_rejected(self):
         for spec in ["alpha:2:1:5:lin", "alpha:1:2:1:lin", "alpha:1:2:5:cubic",
                      "bogus:1:2:5:lin", "alpha:1:2:5"]:
@@ -152,6 +191,22 @@ class TestConfigFile:
         # flag wins over config
         code, out, _ = run_cli(["stationary", "--config", str(cf), "--mass", "4"])
         assert float(parse_csv(out)[1][0][6]) == 0.0
+
+    def test_abbreviated_flag_refused(self, tmp_path):
+        # argparse would take --mas for --mass, but the config must not win over it
+        cf = tmp_path / "run.cfg"
+        cf.write_text("l = 1\nmass = 1\nrate = true\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["stationary", "--config", str(cf), "--mas", "4"])
+        assert exc.value.code == 2
+
+    def test_equals_form_counts_as_given(self, tmp_path):
+        cf = tmp_path / "run.cfg"
+        cf.write_text("l = 1\nmass = 1\nrel-tol = 1e-9\n")
+        argv = ["stationary", "--config", str(cf), "--rel-tol=1e-3"]
+        args = build_parser().parse_args(argv)
+        _apply_config(args, argv)
+        assert (args.rel_tol, args.mass) == (1e-3, 1.0)
 
     def test_unknown_key_rejected(self, tmp_path):
         cf = tmp_path / "bad.cfg"

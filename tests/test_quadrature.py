@@ -248,8 +248,7 @@ class TestOneCallPerRound:
 
     def test_superluminal_path_names_same_time(self, monkeypatch):
         # |v| >= 1 only near t = 1, first sampled in the third round
-        traj = Trajectory(lambda t: 1.2 * np.exp(-((np.asarray(t) - 1.0) / 0.1) ** 2),
-                          lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+        traj = Trajectory(lambda t: 1.2 * np.exp(-((np.asarray(t) - 1.0) / 0.1) ** 2))
         with pytest.raises(SuperluminalPathError) as rounds:
             proper_time(traj, 0.0, 3.0)
         monkeypatch.setattr(kinematics, "integrate", per_panel)

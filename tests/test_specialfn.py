@@ -10,8 +10,7 @@ from cavityclock.quadrature import _NODES
 from cavityclock.specialfn import (_CKJ, _DEBYE_TERMS, BesselMethod,
                                    _series_setup, bessel_k_imag_order,
                                    bessel_k_imag_order_log, bessel_k_scaled_rows,
-                                   bessel_k_scaled_values,
-                                   gamma_abs_sq_imag, gamma_abs_sq_imag_log,
+                                   bessel_k_scaled_values, gamma_abs_sq_imag,
                                    resonance_kernel)
 
 mp = pytest.importorskip("mpmath")
@@ -401,21 +400,15 @@ class TestGammaAbsSq:
     def test_monotone_decrease(self):
         assert gamma_abs_sq_imag(1.0) > gamma_abs_sq_imag(2.0)
 
-    def test_log_variant(self):
-        for y in [0.05, 1.0, 50.0]:
-            assert gamma_abs_sq_imag_log(y) == pytest.approx(
-                math.log(gamma_abs_sq_imag(y)), rel=1e-12)
-        # beyond double range only the log form survives
+    def test_underflow_refused(self):
         with pytest.raises(SpecialFunctionRangeError):
             gamma_abs_sq_imag(300.0)
-        assert gamma_abs_sq_imag_log(300.0) == pytest.approx(
-            math.log(2 * math.pi) - math.log(300.0) - 300.0 * math.pi, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             gamma_abs_sq_imag(0.0)
         with pytest.raises(ValueError):
-            gamma_abs_sq_imag_log(-1.0)
+            gamma_abs_sq_imag(-1.0)
 
 
 class TestResonanceKernel:
