@@ -11,6 +11,11 @@ cannot share one process.  Both run:
   are compared as float.hex, together with the name of the check it failed;
 * the values behind the deviation-sweep anchors: the criterion-9 deviations
   and the scaled overlap at alpha = 0.5;
+* one accelerated probability (l = 1, M = 1, alpha = 0.5, tau = 5): its value
+  and estimate as float.hex and its diagnostics (evaluations, overlap
+  evaluations, Omega cutoff, worst overlap estimate), which count the steps
+  of the nested quadrature; and the evaluations of one stationary
+  probability (l = 1, M = 1, t = 200);
 * the worst value of each verify check (criteria 1-4 and 8), which runs the
   scalar Bessel selector, and criterion 11's proper times (value and error
   estimate), which run integrate() outside the observables;
@@ -71,6 +76,13 @@ def emit(root: Path, seeds: list[int]) -> dict:
                for a in CRITERION_9_FROZEN}
     rate = cc.decay_rate_accelerated_longtime(cc.cavity_geometry(1.0, 0.5), FieldParams(1.0))
     anchors["scaled overlap alpha=0.5"] = rate.diagnostics["scaled_overlap"].hex()
+    p = cc.decay_probability_accelerated(cc.cavity_geometry(1.0, 0.5), FieldParams(1.0), 5.0)
+    anchors["accelerated P tau=5"] = [
+        p.value.hex(), p.error_estimate.hex(), p.diagnostics["evaluations"],
+        p.diagnostics["overlap_evaluations"], float(p.diagnostics["omega_cutoff"]).hex(),
+        float(p.diagnostics["worst_overlap_rel_est"]).hex()]
+    p = cc.decay_probability_stationary(cc.cavity_geometry(1.0, 0.0), FieldParams(1.0), 200.0)
+    anchors["stationary P t=200 evaluations"] = p.diagnostics["evaluations"]
     for check in verify.run_checks():
         anchors[f"verify {check.group} worst"] = float(check.worst).hex()
     for name, traj, t1 in [("constant velocity", cc.Trajectory.constant_velocity(0.6), 1.0),

@@ -7,7 +7,8 @@ Output is CSV (also for single points) with the fixed column order
 
     mode,l,M,alpha,lambda,t_or_tau,value,value_kind,error_estimate,regime,status,message
 
-Exit codes: 0 ok, 1 validation error, 2 numerical failure, 3 verify failure.
+Exit codes: 0 ok, 1 validation error (also a usage error, or a config or
+output file that cannot be opened), 2 numerical failure, 3 verify failure.
 """
 
 from __future__ import annotations
@@ -45,8 +46,17 @@ _NUMERICAL_ERRORS = (IntegrandError, SpecialFunctionRangeError,
 SWEEPABLE = ("alpha", "l", "M", "t_or_tau")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit with EXIT_VALIDATION:
+    argparse's own code, 2, is this CLI's numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cavityclock",
         description="Decay rate of a cavity particle clock, resting or uniformly "
                     "accelerated (natural units, lengths as base).")
@@ -278,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _VALIDATION_ERRORS as exc:
+    except (*_VALIDATION_ERRORS, OSError) as exc:  # OSError: the config or output file
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

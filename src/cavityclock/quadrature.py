@@ -14,13 +14,17 @@ need guarantees quad does not give:
   errors are summed exactly, so their order does not matter),
 * evaluation counts and a converged flag are reported.
 
-Each refinement round costs one integrand call: integrate() passes f a 1-D
-numpy array with every abscissa of the round, in panel order (all initial
-panels in the first round, both halves of the bisected panel after that), and
-f returns one value per abscissa; integrate_rows() does the same for many
-integrals at once.  The results are those of calling f panel by panel
-whenever f works point by point, its value at a point not depending on which
-other points share the call.
+Each refinement round costs one integrand call and one panel reduction.
+The adaptive loop (_adaptive) yields the bounds of the panels it needs; the
+driver evaluates f at every abscissa of the round at once (integrate()
+passes f a 1-D numpy array in panel order: all initial panels in the first
+round, both halves of the bisected panel after that; integrate_rows() does
+the same for many integrals at once), reduces all of the round's panels
+with one _panels() call and sends each panel's (value, error) back.
+_panels() gives every panel the bits it gets when reduced alone, so the
+results are those of calling f panel by panel whenever f works point by
+point, its value at a point not depending on which other points share the
+call.
 """
 
 from __future__ import annotations
@@ -87,19 +91,30 @@ class IntegralResult:
     converged: bool
 
 
-def _panel(fv: np.ndarray, a: float, b: float) -> tuple[float, float]:
-    """Kronrod value and QUADPACK-style error estimate for one panel."""
-    half = 0.5 * (b - a)
-    resk = float(_WK_FULL @ fv)
-    resg = float(_WG_FULL @ fv)
-    value = resk * half
-    diff = abs(resk - resg) * half
-    resasc = float(_WK_FULL @ np.abs(fv - 0.5 * resk)) * half
-    if resasc != 0.0 and diff != 0.0:
-        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-    else:
-        err = diff
-    return value, err
+# the Kronrod and Gauss weights as two columns, and the Kronrod column alone:
+# np.matmul of a (1 x 15) row with a (15 x 1) column is numpy's dot of the
+# two, the call `weights @ row` makes, so every panel of a batch gets the
+# bits it gets alone (a matrix-vector product need not sum in that order)
+_W_KG = np.stack([_WK_FULL, _WG_FULL])[:, :, None]
+_W_K = _WK_FULL[:, None]
+
+
+def _panels(fv: np.ndarray, half: list[float]) -> list[tuple[float, float]]:
+    """Kronrod value and QUADPACK-style error estimate of each panel: row p of
+    the (panels x 15) values fv on a panel of half-width half[p]."""
+    kg = np.matmul(fv[:, None, None, :], _W_KG).reshape(-1, 2)
+    dev = fv - 0.5 * kg[:, :1]
+    np.abs(dev, out=dev)
+    asc = np.matmul(dev[:, None, :], _W_K).ravel().tolist()
+    out = []
+    for (resk, resg), a, h in zip(kg.tolist(), asc, half):
+        diff = abs(resk - resg) * h
+        resasc = a * h
+        # a float power per panel: np.power differs from it in the last bit
+        err = (resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
+               if resasc != 0.0 and diff != 0.0 else diff)
+        out.append((resk * h, err))
+    return out
 
 
 def _add_exact(partials: list[float], xs) -> None:
@@ -162,11 +177,12 @@ def _round_values(fv, xs: np.ndarray) -> np.ndarray:
 
 def _adaptive(a: float, b: float, cfg: QuadratureConfig | None, *,
               singular=(), resonances=()):
-    """The adaptive loop as a generator.  Each round it yields the abscissae
-    of the panels it needs next as a list of 15-point arrays, one per panel,
-    takes the integrand's values back as a (panels x 15) array, and at the
-    end returns the IntegralResult.  integrate() and integrate_rows() drive
-    it and check the values (_round_values)."""
+    """The adaptive loop as a generator.  Each round it yields the panels it
+    needs next as a list of (lo, hi) bounds, takes back one (value, error)
+    pair per panel, in that order, and at the end returns the
+    IntegralResult.  integrate() and integrate_rows() drive it: they evaluate
+    and check the integrand (_round_values) and reduce each round's panels
+    (_panels)."""
     cfg = cfg or QuadratureConfig()
     if math.isinf(a) or math.isinf(b):
         raise ValueError("integration limits must be finite (see truncation_point)")
@@ -178,10 +194,10 @@ def _adaptive(a: float, b: float, cfg: QuadratureConfig | None, *,
     pts = _breakpoints(a, b, singular, resonances)
     if len(pts) < 2:  # [a, b] is below the breakpoints' resolution
         return IntegralResult(0.0, 0.0, 0, True)
-    fv = yield [0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo) for lo, hi in zip(pts[:-1], pts[1:])]
+    bounds = list(zip(pts[:-1], pts[1:]))
+    panels = yield bounds
     heap: list[tuple[float, float, float, float, float]] = []  # (-err, a, b, value, err)
-    for lo, hi, row in zip(pts[:-1], pts[1:], fv):
-        value, err = _panel(row, lo, hi)
+    for (lo, hi), (value, err) in zip(bounds, panels):
         heapq.heappush(heap, (-err, lo, hi, value, err))
 
     # exact running sums of the heap's panel values and errors (see _add_exact)
@@ -206,10 +222,7 @@ def _adaptive(a: float, b: float, cfg: QuadratureConfig | None, *,
             converged = False
             break
         heapq.heappop(heap)
-        fv_lo, fv_hi = yield [0.5 * (mid - lo) * _NODES + 0.5 * (mid + lo),
-                              0.5 * (hi - mid) * _NODES + 0.5 * (hi + mid)]
-        v_lo, e_lo = _panel(fv_lo, lo, mid)
-        v_hi, e_hi = _panel(fv_hi, mid, hi)
+        (v_lo, e_lo), (v_hi, e_hi) = yield [(lo, mid), (mid, hi)]
         heapq.heappush(heap, (-e_lo, lo, mid, v_lo, e_lo))
         heapq.heappush(heap, (-e_hi, mid, hi, v_hi, e_hi))
         _add_exact(values, (-value, v_lo, v_hi))
@@ -243,10 +256,14 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
     """
     loop = _adaptive(a, b, cfg, singular=singular, resonances=resonances)
     try:
-        xss = next(loop)
+        bounds = next(loop)
         while True:
-            xs = np.concatenate(xss)
-            xss = loop.send(_round_values(f(xs), xs).reshape(len(xss), _NODES.size))
+            # a round has two panels after the first: per-panel abscissae
+            # cost less than building them in numpy from the bounds
+            xs = np.concatenate([0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo)
+                                 for lo, hi in bounds])
+            fv = _round_values(f(xs), xs).reshape(len(bounds), _NODES.size)
+            bounds = loop.send(_panels(fv, [0.5 * (hi - lo) for lo, hi in bounds]))
     except StopIteration as done:
         return done.value
 
@@ -268,16 +285,19 @@ def integrate_rows(f: Callable, intervals, cfg: QuadratureConfig | None = None) 
         except StopIteration as done:
             results[i] = done.value
     while pending:
-        ids = np.repeat(list(pending), [len(xss) for xss in pending.values()])
-        xs = np.array([row for xss in pending.values() for row in xss])
-        fv = _round_values(f(ids, xs), xs)
+        counts = [len(bounds) for bounds in pending.values()]
+        ids = np.repeat(list(pending), counts)
+        lo, hi = np.array([p for bounds in pending.values() for p in bounds]).T
+        half = 0.5 * (hi - lo)
+        xs = half[:, None] * _NODES + (0.5 * (hi + lo))[:, None]
+        panels = _panels(_round_values(f(ids, xs), xs), half.tolist())
         start, waiting = 0, {}
-        for i, xss in pending.items():
+        for i, n in zip(pending, counts):
             try:
-                waiting[i] = loops[i].send(fv[start:start + len(xss)])
+                waiting[i] = loops[i].send(panels[start:start + n])
             except StopIteration as done:
                 results[i] = done.value
-            start += len(xss)
+            start += n
         pending = waiting
     return results
 

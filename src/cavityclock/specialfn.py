@@ -31,6 +31,14 @@ Three things live here:
   range for the orders the accelerated-clock integrals need, so log/sign and
   e^{pi nu/2}-scaled variants are the primary internal currency.
 
+  The series' divisors d_k = k |k + i nu| and phases depend on the order
+  alone, so each order keeps one table of them (_series_table, an LRU cache
+  of the last _SERIES_TABLES orders).  A row walks its order's table until
+  its own last term and extends the table, by the same scalar recurrence,
+  only when it needs more terms than any row before it; an evicted order is
+  recomputed the same way.  The nested accelerated probability asks for the
+  same orders round after round, so each term is computed about once.
+
 * |Gamma(i y)|^2 = pi / (y sinh(pi y)), in plain and log form.
 
 * The resonance kernel sin^2(x t / 2) / x^2 with its removable singularity.
@@ -283,23 +291,52 @@ def _k0_rows(nu: np.ndarray, x: np.ndarray, k0: np.ndarray,
         worst[row] = max(worst[row], float(est.max()))
 
 
+# orders whose series table (_series_table) is kept, and the term cap
+_SERIES_TABLES = 1024
+_SERIES_CAP = 600
+
+
+@lru_cache(maxsize=_SERIES_TABLES)
+def _series_table(nu: float) -> list[np.ndarray]:
+    """[divisors d_1..d_n, phases th_0..th_n] of the rearranged series at
+    order nu, held for later calls; _series_terms extends it in place."""
+    return [np.empty(0), np.array([_series_setup(nu)[0]])]
+
+
 def _series_terms(nu: float, qmax: float) -> tuple[np.ndarray, np.ndarray, bool]:
     """Divisors d_k = k |k + i nu| and phases of the rearranged series, up to
     the first k > 3 whose r_k = prod_{j<=k} qmax / d_j is below 1e-17 (r_k
     grows with q = x^2/4, so the row's largest q fixes its last term), and
-    whether that k came before the 600-term cap."""
-    th, _lpref = _series_setup(nu)
+    whether that k came before the _SERIES_CAP-term cap.
+
+    The d_k and phases come from the order's table, each computed once: the
+    recurrence walks the table's d_k and extends the table only past its
+    end, so the result does not depend on what earlier calls asked for."""
+    table = _series_table(nu)
+    divisors, phases = table
+    # a Python loop over the table's d_k: a row stops within ~10 terms, where
+    # a numpy cumulative product costs several times as much
     r_top = 1.0
-    divisors, phases = [], [th]
-    for k in range(1, 600):
+    for k, d in enumerate(divisors.tolist(), 1):
+        r_top *= qmax / d
+        if r_top < 1e-17 and k > 3:
+            return divisors[:k], phases[:k + 1], True
+    th = float(phases[-1])
+    new_d, new_th = [], []
+    done = False
+    for k in range(divisors.size + 1, _SERIES_CAP):
         d = k * math.hypot(k, nu)
         r_top *= qmax / d
         th -= math.atan2(nu, k)
-        divisors.append(d)
-        phases.append(th)
+        new_d.append(d)
+        new_th.append(th)
         if r_top < 1e-17 and k > 3:
-            return np.array(divisors), np.array(phases), True
-    return np.array(divisors), np.array(phases), False
+            done = True
+            break
+    divisors = np.concatenate([divisors, new_d])
+    phases = np.concatenate([phases, new_th])
+    table[:] = divisors, phases  # one store: no reader sees one array without the other
+    return divisors, phases, done
 
 
 def _row_groups(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,7 +362,8 @@ def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
     xs = x[ser]
     q = 0.25 * xs * xs
     qmax = np.maximum.reduceat(q, starts)
-    terms = [_series_terms(float(nu[r]), float(m)) for r, m in zip(ids, qmax)]
+    orders = nu[ids].tolist()
+    terms = [_series_terms(n, m) for n, m in zip(orders, qmax.tolist())]
     n_terms = max(len(p) for _d, p, _done in terms)
     # one (term x row) table each; a row past its own last term gets the
     # divisor inf, so its r_k and terms are exact zeros that leave its sums
@@ -364,7 +402,7 @@ def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
         total = np.add.accumulate(tb, axis=0, out=tb)[m].copy()
         rb[0] = abssum
         abssum = np.add.accumulate(rb, axis=0, out=rb)[m].copy()
-    scale = np.array([-math.exp(_series_setup(float(nu[r]))[1]) for r in ids])
+    scale = np.array([-math.exp(_series_setup(n)[1]) for n in orders])
     out[ser] = scale[group] * total
     denom = np.maximum(np.abs(total), 1e-300)
     _row_max(4.0 * _EPS * abssum / denom, ids, starts, worst)

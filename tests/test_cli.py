@@ -198,7 +198,7 @@ class TestConfigFile:
         cf.write_text("l = 1\nmass = 1\nrate = true\n")
         with pytest.raises(SystemExit) as exc:
             run_cli(["stationary", "--config", str(cf), "--mas", "4"])
-        assert exc.value.code == 2
+        assert exc.value.code == EXIT_VALIDATION
 
     def test_equals_form_counts_as_given(self, tmp_path):
         cf = tmp_path / "run.cfg"
@@ -207,6 +207,47 @@ class TestConfigFile:
         args = build_parser().parse_args(argv)
         _apply_config(args, argv)
         assert (args.rel_tol, args.mass) == (1e-3, 1.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["stationary", "--l", "1", "--mass", "x", "--rate"],
+        ["stationary", "--l", "1", "--mass", "1", "--rate", "--bogus"],
+        ["nonsense"],
+        [],
+    ], ids=["malformed value", "unknown flag", "unknown command", "no command"])
+    def test_usage_error_exits_validation(self, argv, capsys):
+        # argparse's own exit code, 2, is the CLI's "numerical failure"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert "error:" in err and out == ""
+
+    def test_usage_error_process_exit_code(self):
+        proc = subprocess.run([sys.executable, "-m", "cavityclock.cli", "stationary",
+                               "--l", "1", "--mas", "4", "--rate"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_VALIDATION
+        assert "unrecognized arguments: --mas 4" in proc.stderr
+
+    def test_help_exits_ok(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["stationary", "--help"])
+        assert exc.value.code == EXIT_OK
+
+    def test_missing_config_file(self, tmp_path):
+        missing = tmp_path / "missing.cfg"
+        code, out, err = run_cli(["stationary", "--l", "1", "--mass", "1", "--rate",
+                                  "--config", str(missing)])
+        assert code == EXIT_VALIDATION and out == ""
+        assert err.startswith("invalid parameters: ") and str(missing) in err
+
+    def test_output_into_missing_directory(self, tmp_path):
+        target = tmp_path / "no" / "such" / "dir" / "out.csv"
+        code, out, err = run_cli(["stationary", "--l", "1", "--mass", "1", "--rate",
+                                  "--output", str(target)])
+        assert code == EXIT_VALIDATION and out == ""
+        assert err.startswith("invalid parameters: ") and str(target) in err
+        assert not target.parent.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cf = tmp_path / "bad.cfg"

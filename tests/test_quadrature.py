@@ -9,8 +9,9 @@ from cavityclock import kinematics, stationary
 from cavityclock.core import FieldParams
 from cavityclock.errors import IntegrandError, SuperluminalPathError
 from cavityclock.kinematics import Trajectory, cavity_geometry, proper_time
-from cavityclock.quadrature import (_NODES, QuadratureConfig, _adaptive, _breakpoints,
-                                    _panel, integrate, integrate_rows, truncation_point)
+from cavityclock.quadrature import (_NODES, _WG_FULL, _WK_FULL, QuadratureConfig, _adaptive,
+                                    _breakpoints, _panels, integrate, integrate_rows,
+                                    truncation_point)
 from cavityclock.specialfn import resonance_kernel
 from cavityclock.stationary import _integrand_scaled
 
@@ -65,6 +66,59 @@ class TestBasics:
         assert r.evaluations >= 15 and r.evaluations % 15 == 0
 
 
+def panel_reference(fv, half):
+    """One panel's Kronrod value and QUADPACK-style error estimate, reduced
+    alone: the 15 values fv on a panel of half-width half."""
+    resk = float(_WK_FULL @ fv)
+    resg = float(_WG_FULL @ fv)
+    value = resk * half
+    diff = abs(resk - resg) * half
+    resasc = float(_WK_FULL @ np.abs(fv - 0.5 * resk)) * half
+    if resasc != 0.0 and diff != 0.0:
+        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
+    else:
+        err = diff
+    return value, err
+
+
+def hexes(panels):
+    return [(value.hex(), err.hex()) for value, err in panels]
+
+
+class TestPanels:
+    """_panels reduces a batch of panels to the bits each gets alone."""
+
+    @pytest.mark.parametrize("n_panels", [1, 2, 15, 300])
+    def test_same_bits_as_per_row(self, n_panels):
+        rng = np.random.default_rng(n_panels)
+        fv = rng.standard_normal((n_panels, 15)) * 10.0 ** rng.uniform(-8, 8, (n_panels, 1))
+        half = (10.0 ** rng.uniform(-6, 1, n_panels)).tolist()
+        got = _panels(fv, half)
+        assert all(type(v) is float and type(e) is float for v, e in got)
+        assert hexes(got) == hexes([panel_reference(row, h) for row, h in zip(fv, half)])
+
+    def test_degenerate_rows(self):
+        # zeros: resasc == 0 and diff == 0; a subnormal constant, whose
+        # deviations from resk / 2 round to 0: resasc == 0, diff != 0; two
+        # mirrored samples of opposite sign: diff == 0, resasc != 0
+        mirrored = np.zeros(15)
+        mirrored[[3, 11]] = [1.5, -1.5]
+        fv = np.array([np.zeros(15), np.full(15, 1e-323), mirrored, np.ones(15)])
+
+        def resasc_and_diff(row):
+            resk = float(_WK_FULL @ row)
+            return (float(_WK_FULL @ np.abs(row - 0.5 * resk)),
+                    abs(resk - float(_WG_FULL @ row)))
+
+        assert [resasc_and_diff(row) == (0.0, 0.0) for row in fv] == [True] + [False] * 3
+        assert resasc_and_diff(fv[1])[0] == 0.0 and resasc_and_diff(fv[2])[1] == 0.0
+        half = [0.5, 0.25, 2.0, 1e-3]
+        got = _panels(fv, half)
+        assert hexes(got) == hexes([panel_reference(row, h) for row, h in zip(fv, half)])
+        assert got[1][1] == resasc_and_diff(fv[1])[1] * 0.25 != 0.0
+        assert got[2][1] == 0.0
+
+
 def resumming_reference(f, a, b, cfg):
     """integrate() as it was before running sums: every panel re-summed on
     each step and the result summed in left-endpoint order."""
@@ -72,7 +126,7 @@ def resumming_reference(f, a, b, cfg):
 
     def add_panel(lo, hi):
         xs = 0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo)
-        value, err = _panel(f(xs), lo, hi)
+        value, err = panel_reference(f(xs), 0.5 * (hi - lo))
         heapq.heappush(heap, (-err, lo, hi, value, err))
 
     pts = _breakpoints(a, b)
@@ -168,18 +222,20 @@ class TestLockstep:
 
 def per_panel(f, a, b, cfg=None, **domain):
     """The panel-by-panel reference for integrate(): f gets one panel's 15
-    abscissae per call, and each panel's values are checked in panel order
-    once the round's calls are made."""
+    abscissae per call, each panel's values are checked in panel order once
+    the round's calls are made, and each panel is reduced alone."""
     loop = _adaptive(a, b, cfg, **domain)
     try:
-        xs = next(loop)
+        bounds = next(loop)
         while True:
+            xs = [0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo) for lo, hi in bounds]
             fvs = [np.asarray(f(row), dtype=float) for row in xs]
             for row, fv in zip(xs, fvs):
                 if not np.isfinite(fv).all():
                     x_bad = float(row[int(np.argmin(np.isfinite(fv)))])
                     raise IntegrandError(f"non-finite integrand value at x = {x_bad!r}")
-            xs = loop.send(np.array(fvs))
+            bounds = loop.send([panel_reference(fv, 0.5 * (hi - lo))
+                                for fv, (lo, hi) in zip(fvs, bounds)])
     except StopIteration as done:
         return done.value
 

@@ -7,8 +7,9 @@ from scipy.special import loggamma
 
 from cavityclock.errors import SpecialFunctionRangeError
 from cavityclock.quadrature import _NODES
-from cavityclock.specialfn import (_CKJ, _DEBYE_TERMS, BesselMethod,
-                                   _series_setup, bessel_k_imag_order,
+from cavityclock.specialfn import (_CKJ, _DEBYE_TERMS, _SERIES_TABLES, BesselMethod,
+                                   _series_setup, _series_table, _series_terms,
+                                   bessel_k_imag_order,
                                    bessel_k_imag_order_log, bessel_k_scaled_rows,
                                    bessel_k_scaled_values, gamma_abs_sq_imag,
                                    resonance_kernel)
@@ -277,6 +278,76 @@ class TestBatchedMatchesPerTermLoops:
                 ref, ref_worst = per_term_reference(nu, xs)
                 assert vals.tobytes() == ref.tobytes()
                 assert worst == ref_worst
+
+
+def series_terms_reference(nu, qmax):
+    """_series_terms as one call's own recurrence, from k = 1 every time."""
+    th, _lpref = _series_setup(nu)
+    r_top = 1.0
+    divisors, phases = [], [th]
+    for k in range(1, 600):
+        d = k * math.hypot(k, nu)
+        r_top *= qmax / d
+        th -= math.atan2(nu, k)
+        divisors.append(d)
+        phases.append(th)
+        if r_top < 1e-17 and k > 3:
+            return np.array(divisors), np.array(phases), True
+    return np.array(divisors), np.array(phases), False
+
+
+def terms_bits(terms):
+    divisors, phases, done = terms
+    return divisors.tobytes(), phases.tobytes(), done
+
+
+class TestSeriesTable:
+    """_series_terms reads each order's table and extends it only past its
+    end; every call returns what the recurrence computes from scratch."""
+
+    def check(self, nu, qmax):
+        got = _series_terms(nu, qmax)
+        assert terms_bits(got) == terms_bits(series_terms_reference(nu, qmax))
+        return got
+
+    def test_rising_falling_repeated(self):
+        _series_table.cache_clear()
+        nu = 6.15
+        lengths = []
+        for qmax in [1e-3, 0.5, 10.0, 200.0, 200.0, 10.0, 1e-3, 0.5, 900.0, 900.0, 30.0]:
+            lengths.append(self.check(nu, qmax)[0].size)
+            # the table holds the terms of the largest qmax so far, no more
+            assert _series_table(nu)[0].size == max(lengths)
+        assert lengths[:4] == sorted(lengths[:4]) and len(set(lengths)) > 4
+        assert _series_table.cache_info().misses == 1
+
+    def test_random_orders_and_arguments(self):
+        _series_table.cache_clear()
+        rng = np.random.default_rng(5)
+        orders = rng.uniform(1e-6, 80.0, 12).tolist()
+        for _ in range(400):
+            self.check(orders[rng.integers(len(orders))], 10.0 ** rng.uniform(-8.0, 3.0))
+
+    def test_term_cap(self):
+        # nu = 2000 near x = nu: r_k is still far above 1e-17 at the cap
+        _series_table.cache_clear()
+        nu, qmax = 2000.0, 0.25 * 1999.0**2
+        divisors, _phases, done = self.check(nu, qmax)
+        assert not done and divisors.size == 599
+        assert self.check(nu, 1.0)[2]
+        assert not self.check(nu, qmax)[2]
+        assert not self.check(nu, 2.0 * qmax)[2]
+        assert _series_table.cache_info().misses == 1
+
+    def test_evicted_order(self):
+        _series_table.cache_clear()
+        self.check(6.15, 200.0)
+        for nu in np.linspace(10.0, 20.0, _SERIES_TABLES + 1).tolist():
+            self.check(nu, 1.0)
+        misses = _series_table.cache_info().misses
+        for qmax in (10.0, 900.0, 200.0):
+            self.check(6.15, qmax)
+        assert _series_table.cache_info().misses == misses + 1
 
 
 def kronrod_panel(lo, hi):
