@@ -19,6 +19,9 @@ cannot share one process.  Both run:
 * the worst value of each verify check (criteria 1-4 and 8), which runs the
   scalar Bessel selector, and criterion 11's proper times (value and error
   estimate), which run integrate() outside the observables;
+* the exception text of two failing integrals, whose failure is first met
+  after several rounds: the proper time of a path that is superluminal only
+  near t = 1, and integrate() of an integrand that is NaN on a narrow band;
 * four CLI sweeps, whose CSV output is compared byte for byte: criterion 12's
   alpha sweep of the accelerated rate, a t_or_tau sweep of the accelerated
   and of the stationary probability, and the README's deviation sweep.
@@ -50,6 +53,15 @@ SWEEPS = {
     "deviation alpha sweep": ["deviation", "--l", "1", "--mass", "1", "--alpha", "0.02",
                               "--sweep", "alpha:0.02:1.9:20:log"],
 }
+
+
+def raised(call) -> str:
+    """The type and text of the exception call() raises."""
+    try:
+        call()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "no exception"
 
 
 def emit(root: Path, seeds: list[int]) -> dict:
@@ -89,6 +101,12 @@ def emit(root: Path, seeds: list[int]) -> dict:
                            ("sinusoidal", cc.Trajectory.sinusoidal(1e-4, 100.0), 10.0)]:
         tau = cc.proper_time(traj, 0.0, t1)
         anchors[f"proper time {name}"] = [tau.value.hex(), tau.error_estimate.hex()]
+    superluminal = cc.Trajectory(lambda t: 1.2 * np.exp(-((np.asarray(t) - 1.0) / 0.1) ** 2))
+    anchors["superluminal proper time error"] = raised(
+        lambda: cc.proper_time(superluminal, 0.0, 3.0))
+    anchors["NaN band integrate error"] = raised(lambda: cc.integrate(
+        lambda x: np.where(np.abs(x - 0.8) < 0.01, np.nan,
+                           np.sin(40.0 * x) / ((x - 0.3) ** 2 + 1e-5)), -1.0, 2.0))
     csvs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in SWEEPS.items():

@@ -15,16 +15,27 @@ need guarantees quad does not give:
 * evaluation counts and a converged flag are reported.
 
 Each refinement round costs one integrand call and one panel reduction.
-The adaptive loop (_adaptive) yields the bounds of the panels it needs; the
-driver evaluates f at every abscissa of the round at once (integrate()
-passes f a 1-D numpy array in panel order: all initial panels in the first
-round, both halves of the bisected panel after that; integrate_rows() does
-the same for many integrals at once), reduces all of the round's panels
-with one _panels() call and sends each panel's (value, error) back.
-_panels() gives every panel the bits it gets when reduced alone, so the
-results are those of calling f panel by panel whenever f works point by
-point, its value at a point not depending on which other points share the
-call.
+The adaptive loop (_adaptive) bisects the panel of largest error, one per
+step, and yields the bounds of the panels it needs; the driver evaluates f
+at every abscissa of the round at once (integrate() passes f a 1-D numpy
+array in panel order; integrate_rows() does the same for many integrals at
+once), reduces all of the round's panels with one _panels() call and sends
+each panel's (value, error) back.  The first round holds the initial
+panels.  After it, a round holds the halves of the panel the next step
+bisects and, looking ahead, those of every other panel whose error is
+above the current tolerance: the loop cannot converge before it bisects
+them, so it keeps their halves, and the steps that bisect them cost no
+round.  A round that looked ahead and failed (f raised or gave a
+non-finite value) is asked again without the look-ahead, and the integral
+looks ahead no more, so a failure is raised from the panels that one
+bisection per round fails on.  _panels() gives every panel the bits it
+gets when reduced alone, so the results are those of calling f panel by
+panel, one bisection at a time, whenever f works point by point, its value
+at a point not depending on which other points share the call.
+evaluations counts the panels the loop used: halves looked ahead for a
+panel it never bisects, because it stopped at max_subdivisions or |total|
+grew past that panel's error first, are not counted (the benchmark's
+workloads showed none).
 """
 
 from __future__ import annotations
@@ -117,23 +128,12 @@ def _panels(fv: np.ndarray, half: list[float]) -> list[tuple[float, float]]:
     return out
 
 
-def _add_exact(partials: list[float], xs) -> None:
-    """Add the numbers xs to a sum held as Shewchuk's non-overlapping
-    partials, the error-free scheme math.fsum runs internally:
-    math.fsum(partials) is then the correctly rounded sum of everything
-    added, in any order."""
-    for x in xs:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
+def _fixed(x: float) -> int:
+    """x exactly, as an integer multiple of 2^-1074, the smallest subnormal:
+    integer sums of these are exact, and dividing one by 1 << 1074 rounds it
+    correctly, as math.fsum would."""
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
 
 
 def _breakpoints(a: float, b: float, singular=(), resonances=()) -> list[float]:
@@ -175,6 +175,27 @@ def _round_values(fv, xs: np.ndarray) -> np.ndarray:
     return fv
 
 
+def _must_bisect(heap, tol: float, limit: int, halves: dict) -> list[tuple[float, float]]:
+    """Bounds of up to limit panels below the root of heap that the adaptive
+    loop must bisect before it can converge, leaving out those whose halves
+    are on hand and those at machine resolution.  A panel with an error
+    above tol keeps the exact error sum above tol, so the loop bisects it
+    unless |total| grows by err / tol first or the loop stops unconverged.
+    No entry at or under tol has a descendant above it, so the walk from the
+    root visits only the entries above tol and their children."""
+    found = []
+    stack = [1, 2]
+    n, neg_tol = len(heap), -tol
+    while stack and len(found) < limit:
+        i = stack.pop()
+        if i < n and heap[i][0] < neg_tol:
+            stack += (2 * i + 1, 2 * i + 2)
+            _neg_err, lo, hi, _value, _err = heap[i]
+            if lo < 0.5 * (lo + hi) < hi and (lo, hi) not in halves:
+                found.append((lo, hi))
+    return found
+
+
 def _adaptive(a: float, b: float, cfg: QuadratureConfig | None, *,
               singular=(), resonances=()):
     """The adaptive loop as a generator.  Each round it yields the panels it
@@ -182,7 +203,17 @@ def _adaptive(a: float, b: float, cfg: QuadratureConfig | None, *,
     pair per panel, in that order, and at the end returns the
     IntegralResult.  integrate() and integrate_rows() drive it: they evaluate
     and check the integrand (_round_values) and reduce each round's panels
-    (_panels)."""
+    (_panels).
+
+    The first round asks for the initial panels.  Then each step bisects the
+    panel of largest error.  When its halves are not on hand, the round asks
+    for them first and then for the halves of every other panel the loop
+    must still bisect (_must_bisect), which it keeps for the steps that
+    bisect those panels; a step whose halves are on hand asks for nothing.
+    The bisection sequence, and so the result, is that of one bisection per
+    round.  A driver whose round looked ahead and failed sends None instead
+    of the pairs: the loop then asks for the step's two halves alone and
+    looks ahead no more."""
     cfg = cfg or QuadratureConfig()
     if math.isinf(a) or math.isinf(b):
         raise ValueError("integration limits must be finite (see truncation_point)")
@@ -196,20 +227,27 @@ def _adaptive(a: float, b: float, cfg: QuadratureConfig | None, *,
         return IntegralResult(0.0, 0.0, 0, True)
     bounds = list(zip(pts[:-1], pts[1:]))
     panels = yield bounds
-    heap: list[tuple[float, float, float, float, float]] = []  # (-err, a, b, value, err)
+    total = math.fsum(value for value, _err in panels)
+    total_err = math.fsum(err for _value, err in panels)
+    if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        # most overlaps end here: no heap and no exact running sums
+        return IntegralResult(total, total_err, _NODES.size * len(bounds), True)
+    # (-err, a, b, value, err), value and err as _fixed integers, so that the
+    # running sums of the heap's values and errors are exact
+    heap: list[tuple[float, float, float, int, int]] = []
     for (lo, hi), (value, err) in zip(bounds, panels):
-        heapq.heappush(heap, (-err, lo, hi, value, err))
-
-    # exact running sums of the heap's panel values and errors (see _add_exact)
-    values: list[float] = []
-    errors: list[float] = []
-    _add_exact(values, [item[3] for item in heap])
-    _add_exact(errors, [item[4] for item in heap])
+        heapq.heappush(heap, (-err, lo, hi, _fixed(value), _fixed(err)))
+    values = sum(item[3] for item in heap)
+    errors = sum(item[4] for item in heap)
+    unit = 1 << 1074
+    halves = {}  # (lo, hi) -> the (value, error) pairs of its halves, looked ahead
+    ahead = True
     subdivisions = 0
     while True:
-        total = math.fsum(values)
-        total_err = math.fsum(errors)
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        total = values / unit
+        total_err = errors / unit
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        if total_err <= tol:
             converged = True
             break
         if subdivisions >= cfg.max_subdivisions:
@@ -221,16 +259,41 @@ def _adaptive(a: float, b: float, cfg: QuadratureConfig | None, *,
             # interval at machine resolution; give up
             converged = False
             break
-        heapq.heappop(heap)
-        (v_lo, e_lo), (v_hi, e_hi) = yield [(lo, mid), (mid, hi)]
-        heapq.heappush(heap, (-e_lo, lo, mid, v_lo, e_lo))
-        heapq.heappush(heap, (-e_hi, mid, hi, v_hi, e_hi))
-        _add_exact(values, (-value, v_lo, v_hi))
-        _add_exact(errors, (-err, e_lo, e_hi))
+        pair = halves.pop((lo, hi), None)
+        if pair is None:
+            # at most as many as the bisections left after this one
+            later = (_must_bisect(heap, tol, cfg.max_subdivisions - subdivisions - 1, halves)
+                     if ahead else [])
+            request = []
+            for p_lo, p_hi in [(lo, hi), *later]:
+                p_mid = 0.5 * (p_lo + p_hi)
+                request += [(p_lo, p_mid), (p_mid, p_hi)]
+            reply = yield request
+            if reply is None:
+                ahead, later = False, []
+                reply = yield request[:2]
+            for k, key in enumerate(later, 1):
+                halves[key] = reply[2 * k:2 * k + 2]
+            pair = reply[:2]
+        (v_lo, e_lo), (v_hi, e_hi) = pair
+        lo_half = (-e_lo, lo, mid, _fixed(v_lo), _fixed(e_lo))
+        hi_half = (-e_hi, mid, hi, _fixed(v_hi), _fixed(e_hi))
+        heapq.heapreplace(heap, lo_half)
+        heapq.heappush(heap, hi_half)
+        values += lo_half[3] + hi_half[3] - value
+        errors += lo_half[4] + hi_half[4] - err
         subdivisions += 1
 
     evaluations = _NODES.size * (len(pts) - 1 + 2 * subdivisions)
     return IntegralResult(total, total_err, evaluations, converged)
+
+
+def _abscissae(bounds) -> tuple[np.ndarray, list[float]]:
+    """The (panels x 15) Kronrod abscissae of the panels with these (lo, hi)
+    bounds, and each panel's half-width."""
+    half = [0.5 * (hi - lo) for lo, hi in bounds]
+    mid = [0.5 * (hi + lo) for lo, hi in bounds]
+    return np.array(half)[:, None] * _NODES + np.array(mid)[:, None], half
 
 
 def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = None, *,
@@ -246,24 +309,36 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
     reached within max_subdivisions.  Non-finite samples abort with
     IntegrandError naming the first such abscissa in panel order (declared
     singular points are never sampled, so they cannot trigger this).
+    evaluations counts 15 abscissae per panel the loop used: the initial
+    panels and both halves of each bisected panel.
 
     f is called once per refinement round, with every abscissa of the round
     as one 1-D array in panel order: 15 per initial panel in the first call,
-    then 30, the two halves of the bisected panel.  It must return one value
-    per abscissa (ValueError otherwise).  The result equals that of calling f
-    panel by panel whenever f's value at a point does not depend on which
-    other points share the call.
+    then 30 per panel whose halves the round asks for (see the module
+    docstring): the panel of largest error first, then every other panel
+    whose error is above the current tolerance.  When a round of more than
+    one such panel fails, it is asked again with the first alone, and a
+    failure there is raised.  f must return one value per abscissa
+    (ValueError otherwise).  The result equals that of calling f panel by
+    panel, one bisection at a time, whenever f's value at a point does not
+    depend on which other points share the call.
     """
     loop = _adaptive(a, b, cfg, singular=singular, resonances=resonances)
     try:
         bounds = next(loop)
+        first = True
         while True:
-            # a round has two panels after the first: per-panel abscissae
-            # cost less than building them in numpy from the bounds
-            xs = np.concatenate([0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo)
-                                 for lo, hi in bounds])
-            fv = _round_values(f(xs), xs).reshape(len(bounds), _NODES.size)
-            bounds = loop.send(_panels(fv, [0.5 * (hi - lo) for lo, hi in bounds]))
+            xs, half = _abscissae(bounds)
+            xs = xs.ravel()
+            try:
+                fv = _round_values(f(xs), xs)
+            except Exception:
+                if first or len(bounds) == 2:  # the round did not look ahead
+                    raise
+                bounds = loop.send(None)
+                continue
+            first = False
+            bounds = loop.send(_panels(fv.reshape(-1, _NODES.size), half))
     except StopIteration as done:
         return done.value
 
@@ -273,8 +348,12 @@ def integrate_rows(f: Callable, intervals, cfg: QuadratureConfig | None = None) 
     round: f(ids, xs) gets the (panels x 15) abscissae that the unfinished
     integrals need next, ids[p] naming the interval of panel p, and returns
     one value per abscissa, in that shape.  Each integral takes the steps
-    integrate() takes with no breakpoints, so its result is integrate()'s
-    whenever f's value at a panel does not depend on the other panels.
+    integrate() takes with no breakpoints, looking ahead as it does, so its
+    result is integrate()'s whenever f's value at a panel does not depend on
+    the other panels.  When a round in which some integral looked ahead
+    fails, every unfinished integral is asked again for its step alone and
+    none looks ahead any more; if several integrals would fail, the one
+    raised need not be the one that integrate() one by one meets first.
     """
     loops = [_adaptive(a, b, cfg) for a, b in intervals]
     results: list[IntegralResult | None] = [None] * len(loops)
@@ -287,10 +366,15 @@ def integrate_rows(f: Callable, intervals, cfg: QuadratureConfig | None = None) 
     while pending:
         counts = [len(bounds) for bounds in pending.values()]
         ids = np.repeat(list(pending), counts)
-        lo, hi = np.array([p for bounds in pending.values() for p in bounds]).T
-        half = 0.5 * (hi - lo)
-        xs = half[:, None] * _NODES + (0.5 * (hi + lo))[:, None]
-        panels = _panels(_round_values(f(ids, xs), xs), half.tolist())
+        xs, half = _abscissae([p for bounds in pending.values() for p in bounds])
+        try:
+            fv = _round_values(f(ids, xs), xs)
+        except Exception:
+            if max(counts) <= 2:  # no integral looked ahead
+                raise
+            pending = {i: loops[i].send(None) for i in pending}
+            continue
+        panels = _panels(fv, half)
         start, waiting = 0, {}
         for i, n in zip(pending, counts):
             try:

@@ -1,17 +1,18 @@
 import heapq
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavityclock import kinematics, stationary
+from cavityclock import accelerated, kinematics, stationary
 from cavityclock.core import FieldParams
 from cavityclock.errors import IntegrandError, SuperluminalPathError
 from cavityclock.kinematics import Trajectory, cavity_geometry, proper_time
-from cavityclock.quadrature import (_NODES, _WG_FULL, _WK_FULL, QuadratureConfig, _adaptive,
-                                    _breakpoints, _panels, integrate, integrate_rows,
-                                    truncation_point)
+from cavityclock.quadrature import (_NODES, _WG_FULL, _WK_FULL, IntegralResult,
+                                    QuadratureConfig, _breakpoints, _fixed, _panels, integrate,
+                                    integrate_rows, truncation_point)
 from cavityclock.specialfn import resonance_kernel
 from cavityclock.stationary import _integrand_scaled
 
@@ -119,39 +120,6 @@ class TestPanels:
         assert got[2][1] == 0.0
 
 
-def resumming_reference(f, a, b, cfg):
-    """integrate() as it was before running sums: every panel re-summed on
-    each step and the result summed in left-endpoint order."""
-    heap = []
-
-    def add_panel(lo, hi):
-        xs = 0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo)
-        value, err = panel_reference(f(xs), 0.5 * (hi - lo))
-        heapq.heappush(heap, (-err, lo, hi, value, err))
-
-    pts = _breakpoints(a, b)
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        add_panel(lo, hi)
-    subdivisions = 0
-    while True:
-        total = math.fsum(item[3] for item in heap)
-        total_err = math.fsum(item[4] for item in heap)
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            converged = True
-            break
-        if subdivisions >= cfg.max_subdivisions:
-            converged = False
-            break
-        _neg_err, lo, hi, _value, _err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        add_panel(lo, mid)
-        add_panel(mid, hi)
-        subdivisions += 1
-    panels = sorted(heap, key=lambda item: item[1])
-    return (math.fsum(p[3] for p in panels), math.fsum(p[4] for p in panels),
-            15 * len(pts) - 15 + 30 * subdivisions, converged)
-
-
 class TestRunningSums:
     @pytest.mark.parametrize("rel_tol, max_subdivisions", [(1e-12, 20_000), (1e-16, 60)])
     def test_identical_to_resumming_every_step(self, rel_tol, max_subdivisions):
@@ -162,10 +130,27 @@ class TestRunningSums:
 
         cfg = QuadratureConfig(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
         r = integrate(f, -1.0, 2.0, cfg)
-        ref = resumming_reference(f, -1.0, 2.0, cfg)
-        assert (r.value.hex(), r.error_estimate.hex(), r.evaluations, r.converged) == \
-            (ref[0].hex(), ref[1].hex(), ref[2], ref[3])
+        assert bits(r) == bits(per_panel(f, -1.0, 2.0, cfg))
         assert r.evaluations > 100 * 15
+
+    def test_fixed_point_sum_rounds_as_fsum(self):
+        # integers in units of 2^-1074 add exactly and int / int rounds
+        # correctly: subnormals, exponents up to 2^1000 and sums that cancel
+        # to zero round as math.fsum does, and an overflow raises on both
+        rng = np.random.default_rng(7)
+        unit = 1 << 1074
+        for _ in range(2_000):
+            n = int(rng.integers(1, 12))
+            xs = (rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n)
+                  * 2.0 ** rng.integers(-1074, 1000, n).astype(float)).tolist()
+            xs += [-x for x in xs[:int(rng.integers(0, n + 1))]]
+            assert (sum(map(_fixed, xs)) / unit).hex() == math.fsum(xs).hex()
+        for xs in ([5e-324, 5e-324, -5e-324], [2.0**-1074] * 3, [2.0**-1022, -2.0**-1074]):
+            assert (sum(map(_fixed, xs)) / unit).hex() == math.fsum(xs).hex()
+        with pytest.raises(OverflowError):
+            sum(map(_fixed, [1e308, 1e308])) / unit
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, 1e308])
 
 
 def bits(r):
@@ -199,11 +184,21 @@ class TestLockstep:
         assert [bits(r) for r in got] == [bits(r) for r in want]
         assert [r.converged for r in want] == [True, True, True, True, False]
         assert [r.evaluations // 15 for r in want] == [1, 1 + 2 * 37, 0, 1 + 2 * 38, 1 + 2 * 40]
-        # one panel per unfinished integral in the first round, two after it
+        # one panel per unfinished integral in the first round; after it, in
+        # interval order, both halves of each panel an integral bisects in
+        # the round
+        counts = [Counter(ids) for ids in rounds]
         assert rounds[0] == [0, 1, 3, 4]
-        assert rounds[1] == [1, 1, 3, 3, 4, 4]
-        assert rounds[38] == [3, 3, 4, 4]
-        assert rounds[39:] == [[4, 4], [4, 4]]
+        assert all(ids == sorted(ids) and all(n % 2 == 0 for n in c.values())
+                   for ids, c in zip(rounds[1:], counts[1:]))
+        # a converged integral uses every half it asked for; the unconverged
+        # one stops at the subdivision cap short of panels it looked ahead
+        # for, whose halves evaluations does not count
+        asked = [sum(c[i] for c in counts) for i in range(5)]
+        assert asked[:4] == [r.evaluations // 15 for r in want[:4]]
+        assert asked[4] > want[4].evaluations // 15
+        # looking ahead, the 40 bisections of the longest integral take fewer rounds
+        assert len(rounds) < 1 + 40
 
     def test_nonfinite_names_same_abscissa(self):
         def bad(x):
@@ -221,23 +216,44 @@ class TestLockstep:
 
 
 def per_panel(f, a, b, cfg=None, **domain):
-    """The panel-by-panel reference for integrate(): f gets one panel's 15
-    abscissae per call, each panel's values are checked in panel order once
-    the round's calls are made, and each panel is reduced alone."""
-    loop = _adaptive(a, b, cfg, **domain)
-    try:
-        bounds = next(loop)
-        while True:
-            xs = [0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo) for lo, hi in bounds]
-            fvs = [np.asarray(f(row), dtype=float) for row in xs]
-            for row, fv in zip(xs, fvs):
-                if not np.isfinite(fv).all():
-                    x_bad = float(row[int(np.argmin(np.isfinite(fv)))])
-                    raise IntegrandError(f"non-finite integrand value at x = {x_bad!r}")
-            bounds = loop.send([panel_reference(fv, 0.5 * (hi - lo))
-                                for fv, (lo, hi) in zip(fvs, bounds)])
-    except StopIteration as done:
-        return done.value
+    """integrate() as one bisection per round, panel by panel, and without
+    running sums: f gets one panel's 15 abscissae per call, each round's
+    values are checked in panel order once its calls are made, each panel is
+    reduced alone, and the heap is re-summed on every step.  Apart from
+    _breakpoints it shares no code with the adaptive loop."""
+    cfg = cfg or QuadratureConfig()
+
+    def reduce(bounds):
+        xs = [0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo) for lo, hi in bounds]
+        fvs = [np.asarray(f(row), dtype=float) for row in xs]
+        for row, fv in zip(xs, fvs):
+            if not np.isfinite(fv).all():
+                x_bad = float(row[int(np.argmin(np.isfinite(fv)))])
+                raise IntegrandError(f"non-finite integrand value at x = {x_bad!r}")
+        return [(-err, lo, hi, value, err) for (lo, hi), (value, err) in
+                zip(bounds, (panel_reference(fv, 0.5 * (hi - lo))
+                             for fv, (lo, hi) in zip(fvs, bounds)))]
+
+    pts = _breakpoints(a, b, **domain)
+    heap = reduce(list(zip(pts[:-1], pts[1:])))
+    heapq.heapify(heap)
+    subdivisions = 0
+    while True:
+        total = math.fsum(item[3] for item in heap)
+        total_err = math.fsum(item[4] for item in heap)
+        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+            converged = True
+            break
+        _neg_err, lo, hi, _value, _err = heap[0]
+        mid = 0.5 * (lo + hi)
+        if subdivisions >= cfg.max_subdivisions or not lo < mid < hi:
+            converged = False
+            break
+        heapq.heappop(heap)
+        for item in reduce([(lo, mid), (mid, hi)]):
+            heapq.heappush(heap, item)
+        subdivisions += 1
+    return IntegralResult(total, total_err, 15 * (len(pts) - 1 + 2 * subdivisions), converged)
 
 
 class TestOneCallPerRound:
@@ -255,7 +271,12 @@ class TestOneCallPerRound:
         initial = len(_breakpoints(-1.0, 2.0, **domain)) - 1
         subdivisions = (r.evaluations // 15 - initial) // 2
         assert initial > 1 and subdivisions > 10
-        assert sizes == [(15 * initial,)] + [(30,)] * subdivisions
+        # the initial panels, then both halves of each panel bisected in the
+        # round, each half used: fewer calls than bisections, no more points
+        assert sizes[0] == (15 * initial,)
+        assert all(n % 30 == 0 for (n,) in sizes[1:])
+        assert sum(n for (n,) in sizes) == r.evaluations
+        assert len(sizes) - 1 < subdivisions
 
     @pytest.mark.parametrize("M, t", [(1.0, 40.0), (0.999 * math.pi, 25.0), (4.0, 10.0)],
                              ids=["above threshold", "near threshold", "below threshold"])
@@ -311,6 +332,114 @@ class TestOneCallPerRound:
         with pytest.raises(SuperluminalPathError) as panels:
             proper_time(traj, 0.0, 3.0)
         assert str(rounds.value) == str(panels.value)
+
+
+class TestLookAhead:
+    """A round bisects every panel the loop must still bisect: no evaluation
+    is wasted on the observables' integrals, and a round that fails falls
+    back to one bisection, giving the result or the failure of per_panel."""
+
+    @pytest.mark.parametrize("M, t", [(1.0, 40.0), (0.999 * math.pi, 25.0), (4.0, 10.0)],
+                             ids=["above threshold", "near threshold", "below threshold"])
+    def test_stationary_points_are_evaluations(self, monkeypatch, M, t):
+        points = [0]
+
+        def counting(u, m, ts):
+            points[0] += u.size
+            return _integrand_scaled(u, m, ts)
+
+        monkeypatch.setattr(stationary, "_integrand_scaled", counting)
+        p = stationary.decay_probability_stationary(cavity_geometry(1.0, 0.0), FieldParams(M), t)
+        assert points[0] == p.diagnostics["evaluations"] > 15 * 20
+
+    def test_accelerated_points_are_evaluations(self, monkeypatch):
+        # the outer integrand's Omega nodes past the 4-node tail probes, and
+        # the Bessel points of every overlap, the probes' included
+        sizes, points = [], [0]
+        overlaps, kernel_rows = accelerated.spatial_overlaps, accelerated.bessel_k_scaled_rows
+
+        def counting_overlaps(oms, *args):
+            sizes.append(len(oms))
+            return overlaps(oms, *args)
+
+        def counting_rows(nu, x):
+            points[0] += x.size
+            return kernel_rows(nu, x)
+
+        monkeypatch.setattr(accelerated, "spatial_overlaps", counting_overlaps)
+        monkeypatch.setattr(accelerated, "bessel_k_scaled_rows", counting_rows)
+        p = accelerated.decay_probability_accelerated(cavity_geometry(1.0, 0.5),
+                                                      FieldParams(1.0), 5.0)
+        assert sum(n for n in sizes if n != 4) == p.diagnostics["evaluations"]
+        assert points[0] == p.diagnostics["overlap_evaluations"]
+
+    @staticmethod
+    def sampled(run, f, *args, **domain):
+        """run(f, *args, **domain) and the abscissae f got, one array per call."""
+        calls = []
+
+        def recording(x):
+            calls.append(np.array(x, dtype=float))
+            return f(x)
+
+        return run(recording, *args, **domain), calls
+
+    @staticmethod
+    def failing_on(f, bad, how, hits):
+        """f, but NaN at the abscissae in bad or raising there; hits[0]
+        counts the calls that reach bad."""
+        def g(x):
+            hit = np.isin(x, bad)
+            hits[0] += bool(hit.any())
+            if how == "raises" and hit.any():
+                raise ValueError(f"refused x = {float(x[hit][0])!r}")
+            return np.where(hit, np.nan, f(x))
+        return g
+
+    @pytest.mark.parametrize("how", ["nan", "raises"])
+    def test_failure_on_panel_looked_ahead(self, how):
+        # the halves of the first panel looked ahead for fail: the round is
+        # asked again without them, and the loop fails where per_panel does,
+        # when it bisects that panel
+        def f(x):
+            return np.sin(40.0 * x) / ((x - 0.3) ** 2 + 1e-5)
+
+        domain = {"singular": (0.5,), "resonances": ((1.2, 0.05),)}
+        _r, calls = self.sampled(integrate, f, -1.0, 2.0, **domain)
+        ahead = next(x for x in calls[1:] if x.size > 30)[30:60]
+        error = IntegrandError if how == "nan" else ValueError
+        hits = [0]
+        with pytest.raises(error) as rounds:
+            integrate(self.failing_on(f, ahead, how, hits), -1.0, 2.0, **domain)
+        assert hits == [2]
+        with pytest.raises(error) as panels:
+            per_panel(self.failing_on(f, ahead, how, hits), -1.0, 2.0, **domain)
+        assert str(rounds.value) == str(panels.value)
+
+    @pytest.mark.parametrize("how", ["nan", "raises"])
+    def test_failure_on_panel_never_bisected(self, how):
+        # |total| grows past the error of a panel looked ahead for, so
+        # per_panel converges without sampling it; failing there changes
+        # nothing but the one round that is asked again
+        def f(x):
+            return 1e2 / ((x - 0.71) ** 2 + 1e-6) + np.sin(50.0 * x)
+
+        cfg = QuadratureConfig(rel_tol=1e-6)
+        got, mine = self.sampled(integrate, f, 0.0, 1.0, cfg)
+        want, theirs = self.sampled(per_panel, f, 0.0, 1.0, cfg)
+        unused = np.setdiff1d(np.concatenate(mine), np.concatenate(theirs))
+        assert unused.size == 30 and bits(got) == bits(want)
+        hits = [0]
+        bad = self.failing_on(f, unused, how, hits)
+        assert bits(integrate(bad, 0.0, 1.0, cfg)) == bits(want)
+        assert hits == [1]
+        assert bits(per_panel(bad, 0.0, 1.0, cfg)) == bits(want)
+        # in lockstep, the failed round is asked again of every integral
+        def other(x):
+            return np.sin(40.0 * x) / ((x - 0.3) ** 2 + 1e-5)
+
+        rows = integrate_rows(TestLockstep.rows_of([other, bad]), [(0.0, 1.0)] * 2, cfg)
+        assert [bits(r) for r in rows] == [bits(integrate(other, 0.0, 1.0, cfg)), bits(want)]
 
 
 class TestResonant:
