@@ -16,6 +16,11 @@ cannot share one process.  Both run:
   evaluations, Omega cutoff, worst overlap estimate), which count the steps
   of the nested quadrature; and the evaluations of one stationary
   probability (l = 1, M = 1, t = 200);
+* one bessel_k_scaled_rows call, values and per-row worst estimates as
+  float.hex, on one Kronrod panel per row at mixed orders: the K_0 and
+  power series rows from 4 to 62 terms, oscillatory Debye, scalar
+  fallback, and a row at nu = 2000 near x = nu whose series meets its
+  term cap (worst = inf);
 * the worst value of each verify check (criteria 1-4 and 8), which runs the
   scalar Bessel selector, and criterion 11's proper times (value and error
   estimate), which run integrate() outside the observables;
@@ -43,6 +48,19 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 OPS = {"stationary-probability": 600, "accel-probability": 40, "deviation-sweep": 300}
+# (order, panel) rows of the row-kernel call; the comment gives the branch
+KERNEL_ROWS = [
+    (0.0, (0.05, 3.0)),            # K_0 series
+    (2.0, (1e-4, 2e-3)),           # series, 4 terms
+    (6.15, (0.5, 8.0)),            # series, 21 terms
+    (40.0, (2.0, 35.0)),           # series, 43 terms
+    (59.9, (20.0, 59.0)),          # series, 62 terms
+    (30.0, (1.0, 29.9)),           # series, 41 terms
+    (150.0, (10.0, 110.0)),        # oscillatory Debye
+    (2.0, (3.0, 9.0)),             # series and scalar fallback
+    (150.0, (149.8, 149.99)),      # turning band, scalar fallback
+    (2000.0, (1999.98, 1999.999)),  # series at its term cap, flagged
+]
 SWEEPS = {
     "criterion-12 alpha sweep": ["accelerated", "--rate", "--mass", "1", "--l", "1",
                                  "--alpha", "0.3", "--sweep", "alpha:0.25:0.45:6:lin"],
@@ -95,6 +113,13 @@ def emit(root: Path, seeds: list[int]) -> dict:
         float(p.diagnostics["worst_overlap_rel_est"]).hex()]
     p = cc.decay_probability_stationary(cc.cavity_geometry(1.0, 0.0), FieldParams(1.0), 200.0)
     anchors["stationary P t=200 evaluations"] = p.diagnostics["evaluations"]
+    from cavityclock.quadrature import _NODES
+    from cavityclock.specialfn import bessel_k_scaled_rows
+    panels = [0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo) for _nu, (lo, hi) in KERNEL_ROWS]
+    values, worst = bessel_k_scaled_rows(np.array([nu for nu, _panel in KERNEL_ROWS]),
+                                         np.array(panels))
+    anchors["row kernel values"] = [list(map(float.hex, row.tolist())) for row in values]
+    anchors["row kernel worst"] = list(map(float.hex, worst.tolist()))
     for check in verify.run_checks():
         anchors[f"verify {check.group} worst"] = float(check.worst).hex()
     for name, traj, t1 in [("constant velocity", cc.Trajectory.constant_velocity(0.6), 1.0),

@@ -14,24 +14,26 @@ need guarantees quad does not give:
   errors are summed exactly, so their order does not matter),
 * evaluation counts and a converged flag are reported.
 
-Each refinement round costs one integrand call and one panel reduction.
-The adaptive loop (_adaptive) bisects the panel of largest error, one per
-step, and yields the bounds of the panels it needs; the driver evaluates f
-at every abscissa of the round at once (integrate() passes f a 1-D numpy
-array in panel order; integrate_rows() does the same for many integrals at
-once), reduces all of the round's panels with one _panels() call and sends
-each panel's (value, error) back.  The first round holds the initial
-panels.  After it, a round holds the halves of the panel the next step
-bisects and, looking ahead, those of every other panel whose error is
-above the current tolerance: the loop cannot converge before it bisects
-them, so it keeps their halves, and the steps that bisect them cost no
-round.  A round that looked ahead and failed (f raised or gave a
-non-finite value) is asked again without the look-ahead, and the integral
-looks ahead no more, so a failure is raised from the panels that one
-bisection per round fails on.  _panels() gives every panel the bits it
-gets when reduced alone, so the results are those of calling f panel by
-panel, one bisection at a time, whenever f works point by point, its value
-at a point not depending on which other points share the call.
+Each refinement round costs one integrand call, which gets every abscissa
+of the round at once (integrate() passes f a 1-D numpy array in panel
+order; integrate_rows() a (panels x 15) array for many integrals), and one
+panel reduction (_panels()).  The first round (_first_round) holds the
+initial panels of every integral of the call.  An integral whose initial
+panels meet the tolerance ends there, from math.fsum of their values and
+errors (most overlaps do); only the others start the adaptive loop
+(_adaptive), a generator that bisects the panel of largest error, one per
+step, yields the bounds of the panels it needs and takes back each panel's
+(value, error) from the driver.  After the first, a round holds the halves
+of the panel the next step bisects and, looking ahead, those of every
+other panel whose error is above the current tolerance: the loop cannot
+converge before it bisects them, so it keeps their halves, and the steps
+that bisect them cost no round.  A round that looked ahead and failed (f
+raised or gave a non-finite value) is asked again without the look-ahead,
+and the integral looks ahead no more, so a failure is raised from the
+panels that one bisection per round fails on.  _panels() gives every panel
+the bits it gets when reduced alone, so the results are those of calling f
+panel by panel, one bisection at a time, whenever f works point by point,
+its value at a point not depending on which other points share the call.
 evaluations counts the panels the loop used: halves looked ahead for a
 panel it never bisects, because it stopped at max_subdivisions or |total|
 grew past that panel's error first, are not counted (the benchmark's
@@ -196,42 +198,42 @@ def _must_bisect(heap, tol: float, limit: int, halves: dict) -> list[tuple[float
     return found
 
 
-def _adaptive(a: float, b: float, cfg: QuadratureConfig | None, *,
-              singular=(), resonances=()):
-    """The adaptive loop as a generator.  Each round it yields the panels it
-    needs next as a list of (lo, hi) bounds, takes back one (value, error)
-    pair per panel, in that order, and at the end returns the
-    IntegralResult.  integrate() and integrate_rows() drive it: they evaluate
-    and check the integrand (_round_values) and reduce each round's panels
-    (_panels).
-
-    The first round asks for the initial panels.  Then each step bisects the
-    panel of largest error.  When its halves are not on hand, the round asks
-    for them first and then for the halves of every other panel the loop
-    must still bisect (_must_bisect), which it keeps for the steps that
-    bisect those panels; a step whose halves are on hand asks for nothing.
-    The bisection sequence, and so the result, is that of one bisection per
-    round.  A driver whose round looked ahead and failed sends None instead
-    of the pairs: the loop then asks for the step's two halves alone and
-    looks ahead no more."""
-    cfg = cfg or QuadratureConfig()
+def _initial_bounds(a: float, b: float, singular=(), resonances=()) -> list[tuple[float, float]]:
+    """(lo, hi) bounds of the initial panels of [a, b], split at its
+    breakpoints: none when a == b or [a, b] is below their resolution."""
     if math.isinf(a) or math.isinf(b):
         raise ValueError("integration limits must be finite (see truncation_point)")
     if not (b > a):
         if b == a:
-            return IntegralResult(0.0, 0.0, 0, True)
+            return []
         raise ValueError("integration limits must satisfy a <= b")
-
     pts = _breakpoints(a, b, singular, resonances)
-    if len(pts) < 2:  # [a, b] is below the breakpoints' resolution
-        return IntegralResult(0.0, 0.0, 0, True)
-    bounds = list(zip(pts[:-1], pts[1:]))
-    panels = yield bounds
-    total = math.fsum(value for value, _err in panels)
-    total_err = math.fsum(err for _value, err in panels)
-    if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        # most overlaps end here: no heap and no exact running sums
-        return IntegralResult(total, total_err, _NODES.size * len(bounds), True)
+    return list(zip(pts[:-1], pts[1:]))
+
+
+def _tolerance(cfg: QuadratureConfig, total: float) -> float:
+    """The error a result of value total converges at."""
+    return max(cfg.abs_tol, cfg.rel_tol * abs(total))
+
+
+def _adaptive(bounds: list[tuple[float, float]], panels: list[tuple[float, float]],
+              cfg: QuadratureConfig):
+    """The adaptive loop as a generator, for an integral whose initial
+    panels, with these bounds and (value, error) pairs, miss the tolerance.
+    Each round it yields the panels it needs next as a list of (lo, hi)
+    bounds, takes back one (value, error) pair per panel, in that order, and
+    at the end returns the IntegralResult.  integrate() and
+    integrate_rows() drive it: they evaluate and check the integrand
+    (_round_values) and reduce each round's panels (_panels).
+
+    Each step bisects the panel of largest error.  When its halves are not
+    on hand, the round asks for them first and then for the halves of every
+    other panel the loop must still bisect (_must_bisect), which it keeps
+    for the steps that bisect those panels; a step whose halves are on hand
+    asks for nothing.  The bisection sequence, and so the result, is that
+    of one bisection per round.  A driver whose round looked ahead and
+    failed sends None instead of the pairs: the loop then asks for the
+    step's two halves alone and looks ahead no more."""
     # (-err, a, b, value, err), value and err as _fixed integers, so that the
     # running sums of the heap's values and errors are exact
     heap: list[tuple[float, float, float, int, int]] = []
@@ -246,7 +248,7 @@ def _adaptive(a: float, b: float, cfg: QuadratureConfig | None, *,
     while True:
         total = values / unit
         total_err = errors / unit
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        tol = _tolerance(cfg, total)
         if total_err <= tol:
             converged = True
             break
@@ -284,7 +286,7 @@ def _adaptive(a: float, b: float, cfg: QuadratureConfig | None, *,
         errors += lo_half[4] + hi_half[4] - err
         subdivisions += 1
 
-    evaluations = _NODES.size * (len(pts) - 1 + 2 * subdivisions)
+    evaluations = _NODES.size * (len(bounds) + 2 * subdivisions)
     return IntegralResult(total, total_err, evaluations, converged)
 
 
@@ -294,6 +296,45 @@ def _abscissae(bounds) -> tuple[np.ndarray, list[float]]:
     half = [0.5 * (hi - lo) for lo, hi in bounds]
     mid = [0.5 * (hi + lo) for lo, hi in bounds]
     return np.array(half)[:, None] * _NODES + np.array(mid)[:, None], half
+
+
+def _first_round(evaluate: Callable, starts: list[list[tuple[float, float]]],
+                 cfg: QuadratureConfig) -> tuple[list, dict, dict]:
+    """The first round of the adaptive quadratures of integrals whose
+    initial panels have the bounds starts[i]: one call evaluate(ids, xs)
+    returns the checked integrand values at the (panels x 15) abscissae xs
+    of every integral's initial panels, ids[p] naming the integral of panel
+    p.  An integral whose panels meet the tolerance ends there, from
+    math.fsum of their values and errors, and one without panels ends at 0
+    with no evaluation; only the others start an _adaptive loop.
+
+    Returns (results, loops, pending): results[i] is integral i's
+    IntegralResult, or None while it runs; loops maps each running integral
+    to its loop, and pending to the bounds of the panels the loop asks for
+    next."""
+    counts = [len(bounds) for bounds in starts]
+    flat = [p for bounds in starts for p in bounds]
+    panels = []
+    if flat:
+        xs, half = _abscissae(flat)
+        panels = _panels(evaluate(np.repeat(np.arange(len(starts)), counts), xs), half)
+    results: list[IntegralResult | None] = [None] * len(starts)
+    loops, pending, start = {}, {}, 0
+    for i, (bounds, n) in enumerate(zip(starts, counts)):
+        first = panels[start:start + n]
+        start += n
+        total = math.fsum(value for value, _err in first)
+        total_err = math.fsum(err for _value, err in first)
+        if total_err <= _tolerance(cfg, total):
+            # most overlaps end here: no heap and no exact running sums
+            results[i] = IntegralResult(total, total_err, _NODES.size * n, True)
+            continue
+        loops[i] = _adaptive(bounds, first, cfg)
+        try:
+            pending[i] = next(loops[i])
+        except StopIteration as done:
+            results[i] = done.value
+    return results, loops, pending
 
 
 def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = None, *,
@@ -323,22 +364,27 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
     panel, one bisection at a time, whenever f's value at a point does not
     depend on which other points share the call.
     """
-    loop = _adaptive(a, b, cfg, singular=singular, resonances=resonances)
+    def evaluate(_ids, xs):
+        flat = xs.ravel()
+        return _round_values(f(flat), flat).reshape(xs.shape)
+
+    cfg = cfg or QuadratureConfig()
+    (result,), loops, pending = _first_round(
+        evaluate, [_initial_bounds(a, b, singular, resonances)], cfg)
+    if not pending:
+        return result
+    loop, bounds = loops[0], pending[0]
     try:
-        bounds = next(loop)
-        first = True
         while True:
             xs, half = _abscissae(bounds)
-            xs = xs.ravel()
             try:
-                fv = _round_values(f(xs), xs)
+                fv = evaluate(None, xs)
             except Exception:
-                if first or len(bounds) == 2:  # the round did not look ahead
+                if len(bounds) == 2:  # the round did not look ahead
                     raise
                 bounds = loop.send(None)
                 continue
-            first = False
-            bounds = loop.send(_panels(fv.reshape(-1, _NODES.size), half))
+            bounds = loop.send(_panels(fv, half))
     except StopIteration as done:
         return done.value
 
@@ -347,28 +393,28 @@ def integrate_rows(f: Callable, intervals, cfg: QuadratureConfig | None = None) 
     """integrate() over many intervals in lockstep, with one call of f per
     round: f(ids, xs) gets the (panels x 15) abscissae that the unfinished
     integrals need next, ids[p] naming the interval of panel p, and returns
-    one value per abscissa, in that shape.  Each integral takes the steps
-    integrate() takes with no breakpoints, looking ahead as it does, so its
-    result is integrate()'s whenever f's value at a panel does not depend on
-    the other panels.  When a round in which some integral looked ahead
-    fails, every unfinished integral is asked again for its step alone and
-    none looks ahead any more; if several integrals would fail, the one
-    raised need not be the one that integrate() one by one meets first.
+    one value per abscissa, in that shape.  The first round holds one panel
+    per interval of nonzero width; the intervals it meets the tolerance for
+    end there, and only the others go on to bisect.  Each integral takes
+    the steps integrate() takes with no breakpoints, looking ahead as it
+    does, so its result is integrate()'s whenever f's value at a panel does
+    not depend on the other panels.  When a round in which some integral
+    looked ahead fails, every unfinished integral is asked again for its
+    step alone and none looks ahead any more; if several integrals would
+    fail, the one raised need not be the one that integrate() one by one
+    meets first.
     """
-    loops = [_adaptive(a, b, cfg) for a, b in intervals]
-    results: list[IntegralResult | None] = [None] * len(loops)
-    pending = {}
-    for i, loop in enumerate(loops):
-        try:
-            pending[i] = next(loop)
-        except StopIteration as done:
-            results[i] = done.value
+    def evaluate(ids, xs):
+        return _round_values(f(ids, xs), xs)
+
+    results, loops, pending = _first_round(
+        evaluate, [_initial_bounds(a, b) for a, b in intervals], cfg or QuadratureConfig())
     while pending:
         counts = [len(bounds) for bounds in pending.values()]
         ids = np.repeat(list(pending), counts)
         xs, half = _abscissae([p for bounds in pending.values() for p in bounds])
         try:
-            fv = _round_values(f(ids, xs), xs)
+            fv = evaluate(ids, xs)
         except Exception:
             if max(counts) <= 2:  # no integral looked ahead
                 raise

@@ -32,12 +32,10 @@ Three things live here:
   e^{pi nu/2}-scaled variants are the primary internal currency.
 
   The series' divisors d_k = k |k + i nu| and phases depend on the order
-  alone, so each order keeps one table of them (_series_table, an LRU cache
-  of the last _SERIES_TABLES orders).  A row walks its order's table until
-  its own last term and extends the table, by the same scalar recurrence,
-  only when it needs more terms than any row before it; an evicted order is
-  recomputed the same way.  The nested accelerated probability asks for the
-  same orders round after round, so each term is computed about once.
+  alone.  Each call of the row kernel builds them for all of its rows at
+  once, as one (term x row) table grown a block of terms at a time for the
+  rows that still need more (_term_table); nothing is kept between calls,
+  so a row's terms do not depend on what earlier calls asked for.
 
 * |Gamma(i y)|^2 = pi / (y sinh(pi y)), in plain and log form.
 
@@ -50,7 +48,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma
@@ -118,15 +115,6 @@ class BesselEval:
     value: float
     error_estimate: float
     method: BesselMethod
-
-
-@lru_cache(maxsize=4096)
-def _series_setup(nu: float) -> tuple[float, float]:
-    """(arg of 1/Gamma(1+i nu), log of scaled prefactor) for the power series."""
-    theta0 = -loggamma(complex(1.0, nu)).imag
-    lpref = 0.5 * (math.log(2.0 * math.pi) - math.log(nu)
-                   - math.log1p(-math.exp(-2.0 * math.pi * nu)))
-    return theta0, lpref
 
 
 def _series_region(nu: float, x: float) -> bool:
@@ -263,7 +251,8 @@ def bessel_k_imag_order(nu: float, x: float) -> BesselEval:
     return BesselEval(value, abs(value) * ev.rel_error_estimate, ev.method)
 
 
-# terms per block of the batched series (see _series_rows)
+# terms per block of the series table (_term_table) and of the batched
+# series (_series_rows)
 _SERIES_BLOCK = 16
 
 
@@ -291,52 +280,67 @@ def _k0_rows(nu: np.ndarray, x: np.ndarray, k0: np.ndarray,
         worst[row] = max(worst[row], float(est.max()))
 
 
-# orders whose series table (_series_table) is kept, and the term cap
-_SERIES_TABLES = 1024
+# the series' term cap: a row whose r_k is still above 1e-17 at k = 599
+# stops there, flagged
 _SERIES_CAP = 600
 
 
-@lru_cache(maxsize=_SERIES_TABLES)
-def _series_table(nu: float) -> list[np.ndarray]:
-    """[divisors d_1..d_n, phases th_0..th_n] of the rearranged series at
-    order nu, held for later calls; _series_terms extends it in place."""
-    return [np.empty(0), np.array([_series_setup(nu)[0]])]
+def _term_table(nu: np.ndarray, qmax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (term x row) divisors d_k = k |k + i nu| and phases th_k of the
+    rearranged series at the orders nu, each row up to its first k > 3
+    whose r_k = prod_{j<=k} qmax / d_j is below 1e-17 (r_k grows with
+    q = x^2/4, so the row's largest q fixes its last term); and whether
+    that k came before the _SERIES_CAP-term cap.  Past a row's last term
+    its divisors are inf and its phases 0, so its r_k and terms there are
+    exact zeros that leave its sums unchanged.
 
-
-def _series_terms(nu: float, qmax: float) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Divisors d_k = k |k + i nu| and phases of the rearranged series, up to
-    the first k > 3 whose r_k = prod_{j<=k} qmax / d_j is below 1e-17 (r_k
-    grows with q = x^2/4, so the row's largest q fixes its last term), and
-    whether that k came before the _SERIES_CAP-term cap.
-
-    The d_k and phases come from the order's table, each computed once: the
-    recurrence walks the table's d_k and extends the table only past its
-    end, so the result does not depend on what earlier calls asked for."""
-    table = _series_table(nu)
-    divisors, phases = table
-    # a Python loop over the table's d_k: a row stops within ~10 terms, where
-    # a numpy cumulative product costs several times as much
-    r_top = 1.0
-    for k, d in enumerate(divisors.tolist(), 1):
-        r_top *= qmax / d
-        if r_top < 1e-17 and k > 3:
-            return divisors[:k], phases[:k + 1], True
-    th = float(phases[-1])
-    new_d, new_th = [], []
-    done = False
-    for k in range(divisors.size + 1, _SERIES_CAP):
-        d = k * math.hypot(k, nu)
-        r_top *= qmax / d
-        th -= math.atan2(nu, k)
-        new_d.append(d)
-        new_th.append(th)
-        if r_top < 1e-17 and k > 3:
-            done = True
+    The table grows _SERIES_BLOCK terms at a time for the rows still
+    running, carrying their r_k and phases into the next block as its first
+    row.  The entries come from math.hypot and math.atan2 (numpy's differ
+    in the last bit), and the cumulative products and sums along the term
+    axis keep the order of the term-by-term recurrence, so each row gets
+    the bits of its own scalar recurrence."""
+    stop = np.full(nu.size, _SERIES_CAP - 1)
+    done = np.zeros(nu.size, dtype=bool)
+    live = np.arange(nu.size)
+    r = np.ones(nu.size)
+    th = -loggamma(1.0 + 1j * nu).imag  # th_0 = arg 1/Gamma(1 + i nu)
+    divisors, phases = [], [th[None, :]]
+    for k0 in range(1, _SERIES_CAP, _SERIES_BLOCK):
+        ks = np.arange(k0, min(k0 + _SERIES_BLOCK, _SERIES_CAP), dtype=float)
+        m = ks.size
+        k_flat = np.repeat(ks, live.size).tolist()
+        nu_flat = nu[live].tolist() * m
+        hyp = np.fromiter(map(math.hypot, k_flat, nu_flat), float, len(k_flat))
+        d = ks[:, None] * hyp.reshape(m, live.size)
+        rb = np.empty((m + 1, live.size))
+        rb[0] = r
+        np.divide(qmax[live], d, out=rb[1:])
+        np.multiply.accumulate(rb, axis=0, out=rb)
+        tb = np.empty((m + 1, live.size))
+        tb[0] = th
+        at = np.fromiter(map(math.atan2, nu_flat, k_flat), float, len(k_flat))
+        np.negative(at.reshape(m, live.size), out=tb[1:])
+        np.add.accumulate(tb, axis=0, out=tb)
+        d_block = np.full((m, nu.size), np.inf)
+        d_block[:, live] = d
+        th_block = np.zeros((m, nu.size))
+        th_block[:, live] = tb[1:]
+        divisors.append(d_block)
+        phases.append(th_block)
+        hit = (rb[1:] < 1e-17) & (ks > 3)[:, None]
+        ends = hit.any(axis=0)
+        stop[live[ends]] = k0 + hit.argmax(axis=0)[ends]
+        done[live[ends]] = True
+        live, r, th = live[~ends], rb[m, ~ends], tb[m, ~ends]
+        if not live.size:
             break
-    divisors = np.concatenate([divisors, new_d])
-    phases = np.concatenate([phases, new_th])
-    table[:] = divisors, phases  # one store: no reader sees one array without the other
-    return divisors, phases, done
+    n_terms = int(stop.max())
+    past = np.arange(1, n_terms + 1)[:, None] > stop
+    div = np.where(past, np.inf, np.concatenate(divisors)[:n_terms])
+    pha = np.concatenate(phases)[:n_terms + 1]
+    pha[1:][past] = 0.0
+    return div, pha, done
 
 
 def _row_groups(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -361,21 +365,12 @@ def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
     group = np.repeat(np.arange(ids.size), counts)
     xs = x[ser]
     q = 0.25 * xs * xs
-    qmax = np.maximum.reduceat(q, starts)
-    orders = nu[ids].tolist()
-    terms = [_series_terms(n, m) for n, m in zip(orders, qmax.tolist())]
-    n_terms = max(len(p) for _d, p, _done in terms)
-    # one (term x row) table each; a row past its own last term gets the
-    # divisor inf, so its r_k and terms are exact zeros that leave its sums
-    # unchanged
-    div = np.full((n_terms - 1, ids.size), np.inf)
-    pha = np.zeros((n_terms, ids.size))
-    for i, (d, p, done) in enumerate(terms):
-        div[:len(d), i] = d
-        pha[:len(p), i] = p
-        if not done:  # cut off at the term cap (nu >~ 900 near x = nu)
-            worst[ids[i]] = math.inf
-    phi = nu[ids][group] * np.log(0.5 * xs)
+    orders = nu[ids]
+    div, pha, done = _term_table(orders, np.maximum.reduceat(q, starts))
+    # cut off at the term cap (nu >~ 900 near x = nu)
+    worst[ids[~done]] = math.inf
+    n_terms = pha.shape[0]
+    phi = orders[group] * np.log(0.5 * xs)
     # term x point, in blocks of terms that carry the running product and
     # sums from one block to the next as their first row: cumulative
     # products and sums along the term axis keep the order of the
@@ -402,7 +397,10 @@ def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
         total = np.add.accumulate(tb, axis=0, out=tb)[m].copy()
         rb[0] = abssum
         abssum = np.add.accumulate(rb, axis=0, out=rb)[m].copy()
-    scale = np.array([-math.exp(_series_setup(n)[1]) for n in orders])
+    # the scaled prefactor -sqrt(2 pi / (nu (1 - e^{-2 pi nu})))
+    scale = np.array([-math.exp(0.5 * (math.log(2.0 * math.pi) - math.log(n)
+                                       - math.log1p(-math.exp(-2.0 * math.pi * n))))
+                      for n in orders.tolist()])
     out[ser] = scale[group] * total
     denom = np.maximum(np.abs(total), 1e-300)
     _row_max(4.0 * _EPS * abssum / denom, ids, starts, worst)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavityclock import accelerated, kinematics, stationary
+from cavityclock import accelerated, kinematics, quadrature, stationary
 from cavityclock.core import FieldParams
 from cavityclock.errors import IntegrandError, SuperluminalPathError
 from cavityclock.kinematics import Trajectory, cavity_geometry, proper_time
@@ -213,6 +213,74 @@ class TestLockstep:
 
     def test_no_intervals(self):
         assert integrate_rows(lambda ids, xs: xs, []) == []
+
+
+class TestFirstRound:
+    """Every integral's initial panels share the first round; one they meet
+    the tolerance for ends there, and only the others start the adaptive
+    loop."""
+
+    @staticmethod
+    def counting_loops(monkeypatch):
+        started = []
+        adaptive = quadrature._adaptive
+
+        def counting(bounds, panels, cfg):
+            started.append(bounds)
+            return adaptive(bounds, panels, cfg)
+
+        monkeypatch.setattr(quadrature, "_adaptive", counting)
+        return started
+
+    def test_four_kinds_same_bits_as_integrate(self, monkeypatch):
+        fs = [lambda x: x * x,                                       # first panel
+              lambda x: np.sin(40.0 * x) / ((x - 0.3) ** 2 + 1e-5),  # bisected
+              np.exp,                                                # zero width
+              np.cos,                                                # below resolution
+              lambda x: np.exp(-x)]                                  # first panel
+        intervals = [(0.0, 1.0), (-1.0, 2.0), (1.5, 1.5), (1.0, 1.0 + 2.0**-52), (0.0, 0.5)]
+        want = [integrate(g, a, b) for g, (a, b) in zip(fs, intervals)]
+        assert [r.evaluations // 15 for r in want[::2]] == [1, 0, 1]
+        assert want[1].evaluations > 15 * 20 and want[3].evaluations == 0
+        rounds = []
+
+        def f(ids, xs):
+            rounds.append(ids.tolist())
+            return TestLockstep.rows_of(fs)(ids, xs)
+
+        started = self.counting_loops(monkeypatch)
+        got = integrate_rows(f, intervals)
+        assert [bits(r) for r in got] == [bits(r) for r in want]
+        # one panel per interval of resolvable width, then the bisected one alone
+        assert rounds[0] == [0, 1, 4]
+        assert len(rounds) > 1 and all(set(ids) == {1} for ids in rounds[1:])
+        assert started == [[(-1.0, 2.0)]]
+
+    def test_initial_panels_converged_start_no_loop(self, monkeypatch):
+        # several initial panels, split at breakpoints, that meet the tolerance
+        started = self.counting_loops(monkeypatch)
+        domain = {"singular": (0.5,), "resonances": ((0.7, 0.01),)}
+        r = integrate(lambda x: x * x, 0.0, 1.0, **domain)
+        n_panels = len(_breakpoints(0.0, 1.0, **domain)) - 1
+        assert n_panels > 2 and r.evaluations == 15 * n_panels and r.converged
+        assert bits(r) == bits(per_panel(lambda x: x * x, 0.0, 1.0, **domain))
+        assert started == []
+
+    @pytest.mark.parametrize("a, b, text", [
+        (1.0, 0.0, "integration limits must satisfy a <= b"),
+        (math.nan, 1.0, "integration limits must satisfy a <= b"),
+        (0.0, math.inf, "integration limits must be finite (see truncation_point)"),
+        (-math.inf, 0.0, "integration limits must be finite (see truncation_point)"),
+    ])
+    def test_refused_limits(self, a, b, text):
+        def f(*args):
+            raise AssertionError("sampled")
+
+        with pytest.raises(ValueError) as alone:
+            integrate(f, a, b)
+        with pytest.raises(ValueError) as rows:
+            integrate_rows(f, [(0.0, 1.0), (a, b), (2.0, 3.0)])
+        assert str(alone.value) == str(rows.value) == text
 
 
 def per_panel(f, a, b, cfg=None, **domain):

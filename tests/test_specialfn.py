@@ -7,9 +7,8 @@ from scipy.special import loggamma
 
 from cavityclock.errors import SpecialFunctionRangeError
 from cavityclock.quadrature import _NODES
-from cavityclock.specialfn import (_CKJ, _DEBYE_TERMS, _SERIES_TABLES, BesselMethod,
-                                   _series_setup, _series_table, _series_terms,
-                                   bessel_k_imag_order,
+from cavityclock.specialfn import (_CKJ, _DEBYE_TERMS, BesselMethod, _series_rows,
+                                   _term_table, bessel_k_imag_order,
                                    bessel_k_imag_order_log, bessel_k_scaled_rows,
                                    bessel_k_scaled_values, gamma_abs_sq_imag,
                                    resonance_kernel)
@@ -220,13 +219,22 @@ class TestScalarFrontEnd:
         assert worst == math.inf
 
 
+def series_setup(nu):
+    """The power series' first phase, arg 1/Gamma(1 + i nu), and the log of
+    its scaled prefactor, sqrt(2 pi / (nu (1 - e^{-2 pi nu})))."""
+    theta0 = -loggamma(complex(1.0, nu)).imag
+    lpref = 0.5 * (math.log(2.0 * math.pi) - math.log(nu)
+                   - math.log1p(-math.exp(-2.0 * math.pi * nu)))
+    return theta0, lpref
+
+
 def per_term_reference(nu, xs):
     """bessel_k_scaled_values' two vectorized branches as term-by-term loops,
     one numpy call per term: the series for nu < 60, the oscillatory Debye
     form otherwise.  Every x must lie in that branch's region."""
     eps = np.finfo(float).eps
     if nu < 60.0:
-        theta0, lpref = _series_setup(nu)
+        theta0, lpref = series_setup(nu)
         phi = nu * np.log(0.5 * xs)
         r = np.ones_like(xs)
         th = theta0
@@ -281,8 +289,9 @@ class TestBatchedMatchesPerTermLoops:
 
 
 def series_terms_reference(nu, qmax):
-    """_series_terms as one call's own recurrence, from k = 1 every time."""
-    th, _lpref = _series_setup(nu)
+    """One row of _term_table as its own scalar recurrence: the divisors and
+    phases up to the row's last term, and whether that came before the cap."""
+    th, _lpref = series_setup(nu)
     r_top = 1.0
     divisors, phases = [], [th]
     for k in range(1, 600):
@@ -296,58 +305,107 @@ def series_terms_reference(nu, qmax):
     return np.array(divisors), np.array(phases), False
 
 
-def terms_bits(terms):
-    divisors, phases, done = terms
-    return divisors.tobytes(), phases.tobytes(), done
+def series_row_reference(nu, xs):
+    """One row of _series_rows term by term from series_terms_reference:
+    the values and the worst estimate (inf when the row meets the cap)."""
+    q = 0.25 * xs * xs
+    divisors, phases, done = series_terms_reference(nu, float(q.max()))
+    phi = nu * np.log(0.5 * xs)
+    r = np.ones_like(xs)
+    total = np.sin(phi + phases[0])
+    abssum = np.ones_like(xs)
+    for d, th in zip(divisors, phases[1:]):
+        r = r * (q / d)
+        total += r * np.sin(phi + th)
+        abssum += r
+    est = float((4.0 * np.finfo(float).eps * abssum / np.maximum(np.abs(total), 1e-300)).max())
+    return -math.exp(series_setup(nu)[1]) * total, max(1e-15, est) if done else math.inf
+
+
+def kronrod_row(nu, lo, hi):
+    return nu, 0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo)
+
+
+# (order, 15 arguments) rows for one _series_rows call, with their last terms
+SERIES_ROWS = [
+    kronrod_row(2.0, 1e-4, 2e-3),          # k = 4, inside the first block
+    kronrod_row(6.15, 0.5, 8.0),           # k = 21, past one block
+    kronrod_row(40.0, 2.0, 35.0),          # k = 43, in the third block
+    kronrod_row(0.3, 0.05, 3.0),           # k = 14
+    kronrod_row(59.9, 20.0, 52.0),         # k = 54, in the fourth block
+    kronrod_row(2000.0, 1990.0, 1999.0),   # at the 599-term cap
+]
 
 
 class TestSeriesTable:
-    """_series_terms reads each order's table and extends it only past its
-    end; every call returns what the recurrence computes from scratch."""
+    """_term_table builds every row's terms in one call, and each row gets
+    the bits of its own recurrence from k = 1, whatever the other rows hold."""
 
-    def check(self, nu, qmax):
-        got = _series_terms(nu, qmax)
-        assert terms_bits(got) == terms_bits(series_terms_reference(nu, qmax))
-        return got
+    @staticmethod
+    def check_table(orders, qmaxes):
+        div, pha, done = _term_table(np.array(orders), np.array(qmaxes))
+        assert div.shape[1] == pha.shape[1] == len(orders) and pha.shape[0] == div.shape[0] + 1
+        lengths = []
+        for i, (nu, qmax) in enumerate(zip(orders, qmaxes)):
+            divisors, phases, row_done = series_terms_reference(nu, qmax)
+            n = divisors.size
+            assert div[:n, i].tobytes() == divisors.tobytes()
+            assert pha[:n + 1, i].tobytes() == phases.tobytes()
+            # past its last term a row adds exact zeros
+            assert np.all(div[n:, i] == np.inf) and np.all(pha[n + 1:, i] == 0.0)
+            assert done[i] == row_done
+            lengths.append(n)
+        assert div.shape[0] == max(lengths)
+        return lengths
+
+    @staticmethod
+    def check_rows(rows):
+        nu = np.array([n for n, _xs in rows])
+        x = np.array([xs for _n, xs in rows])
+        out, worst = np.zeros_like(x), np.full(nu.size, 1e-15)
+        with np.errstate(all="ignore"):
+            _series_rows(nu, x, np.ones(x.shape, dtype=bool), out, worst)
+            refs = [series_row_reference(n, xs) for n, xs in rows]
+        for i, (ref, ref_worst) in enumerate(refs):
+            assert out[i].tobytes() == ref.tobytes(), rows[i][0]
+            assert worst[i] == ref_worst
+        return worst
+
+    def test_mixed_orders_in_one_call(self):
+        lengths = self.check_table([n for n, _xs in SERIES_ROWS],
+                                   [0.25 * float(xs.max()) ** 2 for _n, xs in SERIES_ROWS])
+        assert lengths == [4, 21, 43, 14, 54, 599]
+        worst = self.check_rows(SERIES_ROWS)
+        assert worst[-1] == math.inf and np.all(np.isfinite(worst[:-1]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_in_another_order(self, seed):
+        perm = np.random.default_rng(seed).permutation(len(SERIES_ROWS))
+        self.check_rows([SERIES_ROWS[i] for i in perm])
 
     def test_rising_falling_repeated(self):
-        _series_table.cache_clear()
-        nu = 6.15
-        lengths = []
-        for qmax in [1e-3, 0.5, 10.0, 200.0, 200.0, 10.0, 1e-3, 0.5, 900.0, 900.0, 30.0]:
-            lengths.append(self.check(nu, qmax)[0].size)
-            # the table holds the terms of the largest qmax so far, no more
-            assert _series_table(nu)[0].size == max(lengths)
+        # one order at rising, falling and repeated arguments, as rows of one
+        # call: each row stops at its own last term
+        qmaxes = [1e-3, 0.5, 10.0, 200.0, 200.0, 10.0, 1e-3, 0.5, 900.0, 900.0, 30.0]
+        lengths = self.check_table([6.15] * len(qmaxes), qmaxes)
         assert lengths[:4] == sorted(lengths[:4]) and len(set(lengths)) > 4
-        assert _series_table.cache_info().misses == 1
 
     def test_random_orders_and_arguments(self):
-        _series_table.cache_clear()
         rng = np.random.default_rng(5)
         orders = rng.uniform(1e-6, 80.0, 12).tolist()
-        for _ in range(400):
-            self.check(orders[rng.integers(len(orders))], 10.0 ** rng.uniform(-8.0, 3.0))
+        for _ in range(20):
+            size = int(rng.integers(1, 40))
+            self.check_table([orders[i] for i in rng.integers(len(orders), size=size)],
+                             (10.0 ** rng.uniform(-8.0, 3.0, size)).tolist())
 
     def test_term_cap(self):
         # nu = 2000 near x = nu: r_k is still far above 1e-17 at the cap
-        _series_table.cache_clear()
-        nu, qmax = 2000.0, 0.25 * 1999.0**2
-        divisors, _phases, done = self.check(nu, qmax)
-        assert not done and divisors.size == 599
-        assert self.check(nu, 1.0)[2]
-        assert not self.check(nu, qmax)[2]
-        assert not self.check(nu, 2.0 * qmax)[2]
-        assert _series_table.cache_info().misses == 1
-
-    def test_evicted_order(self):
-        _series_table.cache_clear()
-        self.check(6.15, 200.0)
-        for nu in np.linspace(10.0, 20.0, _SERIES_TABLES + 1).tolist():
-            self.check(nu, 1.0)
-        misses = _series_table.cache_info().misses
-        for qmax in (10.0, 900.0, 200.0):
-            self.check(6.15, qmax)
-        assert _series_table.cache_info().misses == misses + 1
+        # (at twice that argument r_k overflows to inf, as in the scalar recurrence)
+        qmax = 0.25 * 1999.0**2
+        with np.errstate(over="ignore"):
+            lengths = self.check_table([2000.0, 2000.0, 2000.0, 6.15],
+                                       [qmax, 1.0, 2.0 * qmax, 200.0])
+        assert lengths[0] == lengths[2] == 599 and lengths[1] < 599
 
 
 def kronrod_panel(lo, hi):
