@@ -18,11 +18,11 @@ cannot share one process.  Both run:
   probability (l = 1, M = 1, t = 200);
 * one bessel_k_scaled_rows call, values and per-row worst estimates as
   float.hex, on one Kronrod panel per row at mixed orders: the K_0 and
-  power series rows from 4 to 62 terms, oscillatory Debye, scalar
-  fallback, and a row at nu = 2000 near x = nu whose series meets its
-  term cap (worst = inf);
+  power series rows from 4 to 62 terms, oscillatory Debye, the contour
+  rule beyond the series, in the turning band at nu = 150, 500 and 2000,
+  and far above the order, where the scaled values underflow;
 * the worst value of each verify check (criteria 1-4 and 8), which runs the
-  scalar Bessel selector, and criterion 11's proper times (value and error
+  scalar Bessel front end, and criterion 11's proper times (value and error
   estimate), which run integrate() outside the observables;
 * the exception text of two failing integrals, whose failure is first met
   after several rounds: the proper time of a path that is superluminal only
@@ -31,7 +31,9 @@ cannot share one process.  Both run:
   alpha sweep of the accelerated rate, a t_or_tau sweep of the accelerated
   and of the stationary probability, and the README's deviation sweep.
 
-Prints what was compared and exits 1 on any difference.
+Prints what was compared and exits 1 on any difference.  For every item
+that differs it prints the largest relative move of its values and of its
+error estimates.
 """
 
 from __future__ import annotations
@@ -56,10 +58,12 @@ KERNEL_ROWS = [
     (40.0, (2.0, 35.0)),           # series, 43 terms
     (59.9, (20.0, 59.0)),          # series, 62 terms
     (30.0, (1.0, 29.9)),           # series, 41 terms
-    (150.0, (10.0, 110.0)),        # oscillatory Debye
-    (2.0, (3.0, 9.0)),             # series and scalar fallback
-    (150.0, (149.8, 149.99)),      # turning band, scalar fallback
-    (2000.0, (1999.98, 1999.999)),  # series at its term cap, flagged
+    (150.0, (10.0, 110.0)),        # oscillatory Debye, contour rule above x = 102
+    (2.0, (3.0, 9.0)),             # series and contour rule
+    (150.0, (149.8, 149.99)),      # turning band, contour rule
+    (500.0, (470.0, 530.0)),       # turning band across x = nu, contour rule
+    (2000.0, (1999.98, 1999.999)),  # turning band, contour rule (the series met its cap)
+    (2.0, (700.0, 900.0)),         # x >> nu, contour rule, values underflow
 ]
 SWEEPS = {
     "criterion-12 alpha sweep": ["accelerated", "--rate", "--mass", "1", "--l", "1",
@@ -147,6 +151,22 @@ def run_checkout(root: Path, seeds: list[int]) -> dict:
     return json.loads(proc.stdout)
 
 
+def move(a, b) -> float:
+    """The largest relative difference between the floats that a and b,
+    nested alike, hold as float.hex (inf where one is not finite); other
+    entries count as no move."""
+    if isinstance(a, list) and isinstance(b, list):
+        return max((move(x, y) for x, y in zip(a, b)), default=0.0)
+    try:
+        x, y = float.fromhex(a), float.fromhex(b)
+    except (TypeError, ValueError):
+        return 0.0
+    if x == y:
+        return 0.0
+    relative = abs(x - y) / max(abs(x), abs(y))
+    return relative if relative == relative else float("inf")
+
+
 def compare(mine: dict, theirs: dict) -> int:
     """Prints one line per compared item; returns the number of differences."""
     differences = 0
@@ -155,11 +175,19 @@ def compare(mine: dict, theirs: dict) -> int:
         differ = sum(a != b for a, b in zip(ops, other)) + abs(len(ops) - len(other))
         n_values = sum(len(values) for values, _failure in ops)
         failed = sum(failure is not None for _values, failure in ops)
-        print(f"{key}: {len(ops)} ops ({n_values} values, {failed} failed), {differ} differ")
+        line = f"{key}: {len(ops)} ops ({n_values} values, {failed} failed), {differ} differ"
+        if differ:
+            # an op's values are (value, error estimate[, deviation])
+            pairs = [(a, b) for (a, _f), (b, _g) in zip(ops, other)]
+            values = max(move(a[:1] + a[2:], b[:1] + b[2:]) for a, b in pairs)
+            estimates = max(move(a[1:2], b[1:2]) for a, b in pairs)
+            line += f"; largest move: values {values:.2e}, estimates {estimates:.2e}"
+        print(line)
         differences += differ
     differ = [k for k in mine["anchors"] if mine["anchors"][k] != theirs["anchors"][k]]
     print(f"anchor values: {len(mine['anchors'])}, {len(differ)} differ"
-          + "".join(f"\n  differs: {k}" for k in differ))
+          + "".join(f"\n  differs: {k} (largest move "
+                    f"{move(mine['anchors'][k], theirs['anchors'][k]):.2e})" for k in differ))
     differences += len(differ)
     for name, (code, text) in mine["csvs"].items():
         same = [code, text] == theirs["csvs"][name]

@@ -84,8 +84,6 @@ def rindler_mode_spatial(Omega: float, xi: float, M: float, alpha: float) -> com
     nu = Omega / alpha
     z = (M / alpha) * math.exp(alpha * xi)
     kv = bessel_k_imag_order_log(nu, z)
-    if kv.sign == 0.0:
-        return 0.0 + 0.0j
     lg = loggamma(complex(0.0, nu))
     log_mod = kv.log_abs - lg.real - 0.5 * math.log(math.pi * Omega)
     phase = 0.5 * nu * math.log(0.5 * M / alpha) - lg.imag

@@ -1,46 +1,27 @@
 """Special functions for the decay integrals.
 
-Three things live here:
-
 * K_{i nu}(x), the modified Bessel function of the second kind with purely
-  imaginary order (real-valued for real nu and x > 0).  No mainstream float
-  library evaluates it, so it is built from three methods with disjoint
-  comfort zones and a common selection front end:
+  imaginary order, which no mainstream float library evaluates.  The row
+  kernel bessel_k_scaled_rows takes each point to one of three vectorized
+  methods (_branch_masks), each with its own relative error estimate:
 
-  - power-series: the ascending series of I_{+-i nu} rearranged so every term
-    is real with bounded trig factors.  With the 1/sinh(pi nu) prefactor
-    absorbed analytically the summation is overflow-free for any order, and
-    in the oscillatory region x < nu it is nearly cancellation-free.
-  - asymptotic: Debye expansions continued to imaginary order, one branch for
-    the monotonic regime x > nu and one (Airy-free, away from the turning
-    point) for the oscillatory regime x < nu.  Coefficient polynomials u_k
-    are generated exactly from the standard recurrence at import time.
-  - integral-representation: trapezoidal sum of int_0^inf cos(nu t)
-    e^{-x cosh t} dt in extended precision.  The integrand is even, analytic
-    and double-exponentially decaying, so the trapezoid converges
-    geometrically; accuracy is limited only by cancellation, which the
-    method reports via its error estimate.
+  - power-series: the ascending series of I_{+-i nu} rearranged so every
+    term is real with bounded trig factors, the 1/sinh(pi nu) prefactor
+    absorbed analytically; x < nu below order 60, and small x.
+  - asymptotic: the oscillatory Debye form, x < nu from order 60 below the
+    turning band |x - nu| < 9 nu^{1/3}; its u_k polynomials come exactly
+    from the standard recurrence at import time.
+  - integral-representation: the steepest-descent contour integral (Gil,
+    Segura & Temme 2004) as a fixed Gauss-Legendre rule, for the band and
+    every other x >= nu; in log form where the scaled value underflows.
 
-  Each method is implemented once.  The series and the oscillatory Debye
-  form are the vectorized row branches of bessel_k_scaled_rows, which every
-  observable uses; the scalar front end bessel_k_imag_order[_log] calls
-  them at one point.  Every method self-estimates its relative error; the
-  front end returns the first method meeting DEFAULT_BESSEL_TOL
-  (series, asymptotic, integral order), or the best estimate otherwise, and
-  tags the result with it.  Magnitudes reach e^{-pi nu/2}, far below double
-  range for the orders the accelerated-clock integrals need, so log/sign and
-  e^{pi nu/2}-scaled variants are the primary internal currency.
+  The scalar front end bessel_k_imag_order[_log] is a one-point row call,
+  tagged with its method.  Magnitudes reach e^{-pi nu/2}, far below double
+  range, so log/sign and e^{pi nu/2}-scaled forms are the internal currency.
 
-  The series' divisors d_k = k |k + i nu| and phases depend on the order
-  alone.  Each call of the row kernel builds them for all of its rows at
-  once, as one (term x row) table grown a block of terms at a time for the
-  rows that still need more (_term_table); nothing is kept between calls,
-  so a row's terms do not depend on what earlier calls asked for.
+* |Gamma(i y)|^2 = pi / (y sinh(pi y)).
 
-* |Gamma(i y)|^2 = pi / (y sinh(pi y)), in plain and log form.
-
-* The resonance kernel sin^2(x t / 2) / x^2 with its removable singularity.
-"""
+* The resonance kernel sin^2(x t / 2) / x^2 with its removable singularity."""
 
 from __future__ import annotations
 
@@ -50,17 +31,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import loggamma
 
 from .errors import SpecialFunctionRangeError
 
 EULER_GAMMA = 0.5772156649015328606
+# the accuracy a row's worst estimate is counted against (the benchmark's
+# specialfn.bessel_batch.within_tol_frac)
 DEFAULT_BESSEL_TOL = 1e-10
 
 _LOG_MAX = math.log(np.finfo(float).max)          # ~709.78
 _LOG_MIN = math.log(np.finfo(float).tiny)         # ~-708.40
 _EPS = float(np.finfo(float).eps)
-_EPS_LONG = float(np.finfo(np.longdouble).eps)
 
 
 class BesselMethod(enum.Enum):
@@ -117,140 +100,6 @@ class BesselEval:
     method: BesselMethod
 
 
-def _series_region(nu: float, x: float) -> bool:
-    # monotone-ish term growth; beyond this the runtime estimate still guards
-    return x * x <= 12.0 * math.sqrt(1.0 + nu * nu) or x < nu
-
-
-def _k_debye_monotonic(nu: float, x: float) -> tuple[float, float, float] | None:
-    """x > nu regime: K = sqrt(pi/2W') e^{-W' - nu asin(nu/x)} * series.
-    Returns the scaled log form (log_abs + pi nu/2, sign, rel_est)."""
-    if x <= nu:
-        return None
-    wp = math.sqrt((x - nu) * (x + nu))
-    if wp < 8.0:
-        return None
-    beta = math.asin(min(1.0, nu / x))
-    pt2 = (nu / wp) ** 2
-    total = 0.0
-    last = 1.0
-    for k in range(_DEBYE_TERMS):
-        s = 0.0
-        for j in range(k, -1, -1):
-            s = s * pt2 + _CKJ[k][j] * (1.0 if j % 2 == 0 else -1.0)
-        term = (-1.0 if k % 2 else 1.0) * s / wp**k
-        total += term
-        last = abs(term)
-    if total == 0.0:
-        return None
-    est = 4.0 * last / abs(total) + 1e-15
-    log_abs = 0.5 * math.log(math.pi / (2.0 * wp)) - wp - nu * beta + math.log(abs(total))
-    return log_abs + 0.5 * math.pi * nu, math.copysign(1.0, total), est
-
-
-def _trapezoid_grid(nu: float, x: float) -> tuple[float, int]:
-    tmax = math.acosh(760.0 / x) + 1.0 if x < 700.0 else 1.0
-    h = 2.0 * math.pi / (2.0 * nu + 0.7 * x + 60.0)
-    return h, int(tmax / h) + 1
-
-
-def _k_trapezoid(nu: float, x: float) -> tuple[float, float, float] | None:
-    """Extended-precision trapezoid of the defining integral; scaled log form."""
-    h, n = _trapezoid_grid(nu, x)
-    dt = np.longdouble
-    t = np.arange(n + 1, dtype=dt) * dt(h)
-    f = np.cos(dt(nu) * t) * np.exp(-dt(x) * np.cosh(t))
-    f[0] *= dt(0.5)
-    s = float(f.sum() * dt(h))
-    absint = float(np.abs(f).sum() * dt(h))
-    if s == 0.0:
-        return None
-    est = 8.0 * _EPS_LONG * absint / abs(s) + 1e-16
-    return math.log(abs(s)) + 0.5 * math.pi * nu, math.copysign(1.0, s), est
-
-
-def _at_point(branch, nu: float, x: float) -> tuple[float, float, float] | None:
-    """The row branch at the single point (nu, x) in the scaled log form
-    (log|e^{pi nu/2} K|, sign, rel_est); None unless the value is finite and
-    nonzero and the estimate finite (nu >~ 900 near x = nu, the series
-    meets its term cap and may overflow)."""
-    out = np.zeros((1, 1))
-    worst = np.full(1, 1e-15)
-    with np.errstate(all="ignore"):
-        branch(np.array([nu]), np.array([[x]]), np.ones((1, 1), dtype=bool), out, worst)
-    value, est = float(out[0, 0]), float(worst[0])
-    if value == 0.0 or not (math.isfinite(value) and math.isfinite(est)):
-        return None
-    return math.log(abs(value)), math.copysign(1.0, value), est
-
-
-def _series_candidate(nu: float, x: float) -> tuple[float, float, float] | None:
-    if not _series_region(nu, x):
-        return None
-    return _at_point(_k0_rows if nu < 1e-8 else _series_rows, nu, x)
-
-
-def _debye_oscillatory_candidate(nu: float, x: float) -> tuple[float, float, float] | None:
-    if not (x < nu and (nu - x) * (nu + x) >= 64.0):
-        return None
-    return _at_point(_debye_oscillatory_rows, nu, x)
-
-
-_METHOD_ORDER = (
-    (BesselMethod.POWER_SERIES, _series_candidate),
-    (BesselMethod.ASYMPTOTIC, _k_debye_monotonic),
-    (BesselMethod.ASYMPTOTIC, _debye_oscillatory_candidate),
-    (BesselMethod.INTEGRAL_REPRESENTATION, _k_trapezoid),
-)
-
-
-def _k_log_scaled(nu: float, x: float) -> tuple[float, float, float, BesselMethod]:
-    """(log|e^{pi nu/2} K|, sign, rel_est, method) via first-fit selection."""
-    best = None
-    for method, fn in _METHOD_ORDER:
-        out = fn(nu, x)
-        if out is None:
-            continue
-        log_abs, sign, est = out
-        if est <= DEFAULT_BESSEL_TOL:
-            return log_abs, sign, est, method
-        if best is None or est < best[2]:
-            best = (log_abs, sign, est, method)
-    if best is None:
-        # no method gave a value (at nu >~ 900 near x = nu); the infinite
-        # estimate flags the point
-        return -math.inf, 0.0, math.inf, BesselMethod.INTEGRAL_REPRESENTATION
-    return best
-
-
-def bessel_k_imag_order_log(nu: float, x: float) -> LogBesselEval:
-    """K_{i nu}(x) in log/sign form, usable at any representable order.
-
-    log_abs is -inf with sign 0, and the estimate inf, when no method gives
-    a value.
-    """
-    if not x > 0:
-        raise ValueError("x must be positive")
-    nu = abs(float(nu))
-    log_scaled, sign, est, method = _k_log_scaled(nu, x)
-    return LogBesselEval(log_scaled - 0.5 * math.pi * nu, sign, est, method)
-
-
-def bessel_k_imag_order(nu: float, x: float) -> BesselEval:
-    """K_{i nu}(x) as a plain float; raises SpecialFunctionRangeError when the
-    value leaves double range (the log variant then still works) or when no
-    method gives a value."""
-    ev = bessel_k_imag_order_log(nu, x)
-    if ev.sign == 0.0:
-        raise SpecialFunctionRangeError(f"no method evaluates K_(i {nu})({x})")
-    if ev.log_abs > _LOG_MAX or ev.log_abs < _LOG_MIN:
-        raise SpecialFunctionRangeError(
-            f"K_(i {nu})({x}) has log-magnitude {ev.log_abs:.1f}, outside double "
-            "range; use bessel_k_imag_order_log")
-    value = ev.sign * math.exp(ev.log_abs)
-    return BesselEval(value, abs(value) * ev.rel_error_estimate, ev.method)
-
-
 # terms per block of the series table (_term_table) and of the batched
 # series (_series_rows)
 _SERIES_BLOCK = 16
@@ -288,18 +137,17 @@ _SERIES_CAP = 600
 def _term_table(nu: np.ndarray, qmax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (term x row) divisors d_k = k |k + i nu| and phases th_k of the
     rearranged series at the orders nu, each row up to its first k > 3
-    whose r_k = prod_{j<=k} qmax / d_j is below 1e-17 (r_k grows with
-    q = x^2/4, so the row's largest q fixes its last term); and whether
-    that k came before the _SERIES_CAP-term cap.  Past a row's last term
-    its divisors are inf and its phases 0, so its r_k and terms there are
-    exact zeros that leave its sums unchanged.
+    whose r_k = prod_{j<=k} qmax / d_j is below 1e-17 (the row's largest
+    q = x^2/4 fixes its last term); and whether that k came before the
+    _SERIES_CAP-term cap.  Past a row's last term its divisors are inf and
+    its phases 0, so its terms there are exact zeros.
 
     The table grows _SERIES_BLOCK terms at a time for the rows still
     running, carrying their r_k and phases into the next block as its first
     row.  The entries come from math.hypot and math.atan2 (numpy's differ
-    in the last bit), and the cumulative products and sums along the term
-    axis keep the order of the term-by-term recurrence, so each row gets
-    the bits of its own scalar recurrence."""
+    in the last bit; atan2 only up to each row's last term), and cumulative
+    products and sums along the term axis keep the order of the recurrence,
+    so each row gets the bits of its own scalar recurrence."""
     stop = np.full(nu.size, _SERIES_CAP - 1)
     done = np.zeros(nu.size, dtype=bool)
     live = np.arange(nu.size)
@@ -309,17 +157,25 @@ def _term_table(nu: np.ndarray, qmax: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for k0 in range(1, _SERIES_CAP, _SERIES_BLOCK):
         ks = np.arange(k0, min(k0 + _SERIES_BLOCK, _SERIES_CAP), dtype=float)
         m = ks.size
-        k_flat = np.repeat(ks, live.size).tolist()
-        nu_flat = nu[live].tolist() * m
-        hyp = np.fromiter(map(math.hypot, k_flat, nu_flat), float, len(k_flat))
-        d = ks[:, None] * hyp.reshape(m, live.size)
+        k_flat = np.repeat(ks, live.size)
+        nu_flat = np.tile(nu[live], m)
+        d = ks[:, None] * np.fromiter(map(math.hypot, k_flat.tolist(), nu_flat.tolist()),
+                                      float, k_flat.size).reshape(m, live.size)
         rb = np.empty((m + 1, live.size))
         rb[0] = r
         np.divide(qmax[live], d, out=rb[1:])
         np.multiply.accumulate(rb, axis=0, out=rb)
+        hit = (rb[1:] < 1e-17) & (ks > 3)[:, None]
+        ends = hit.any(axis=0)
+        stop[live[ends]] = k0 + hit.argmax(axis=0)[ends]
+        done[live[ends]] = True
+        # the phases only up to each row's last term; those past it are zeroed below
+        need = (ks[:, None] <= stop[live]).ravel()
+        at = np.zeros(k_flat.size)
+        at[need] = np.fromiter(map(math.atan2, nu_flat[need].tolist(), k_flat[need].tolist()),
+                               float, int(np.count_nonzero(need)))
         tb = np.empty((m + 1, live.size))
         tb[0] = th
-        at = np.fromiter(map(math.atan2, nu_flat, k_flat), float, len(k_flat))
         np.negative(at.reshape(m, live.size), out=tb[1:])
         np.add.accumulate(tb, axis=0, out=tb)
         d_block = np.full((m, nu.size), np.inf)
@@ -328,10 +184,6 @@ def _term_table(nu: np.ndarray, qmax: np.ndarray) -> tuple[np.ndarray, np.ndarra
         th_block[:, live] = tb[1:]
         divisors.append(d_block)
         phases.append(th_block)
-        hit = (rb[1:] < 1e-17) & (ks > 3)[:, None]
-        ends = hit.any(axis=0)
-        stop[live[ends]] = k0 + hit.argmax(axis=0)[ends]
-        done[live[ends]] = True
         live, r, th = live[~ends], rb[m, ~ends], tb[m, ~ends]
         if not live.size:
             break
@@ -367,7 +219,7 @@ def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
     q = 0.25 * xs * xs
     orders = nu[ids]
     div, pha, done = _term_table(orders, np.maximum.reduceat(q, starts))
-    # cut off at the term cap (nu >~ 900 near x = nu)
+    # cut off at the term cap (nu >~ 900 near x = nu; the row kernel sends no order >= 60 here)
     worst[ids[~done]] = math.inf
     n_terms = pha.shape[0]
     phi = orders[group] * np.log(0.5 * xs)
@@ -408,7 +260,7 @@ def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
 
 def _debye_oscillatory_rows(nu: np.ndarray, x: np.ndarray, osc: np.ndarray,
                             out: np.ndarray, worst: np.ndarray) -> None:
-    """The oscillatory Debye form at the points osc of x (x < nu, W >= 8):
+    """The oscillatory Debye form at the points osc of x (x < nu, W >> 8):
     e^{pi nu/2} K = sqrt(2 pi/W) [S_even cos(Psi) - S_odd sin(Psi)],
     Psi = nu arccosh(nu/x) - W - pi/4, W = sqrt(nu^2 - x^2)."""
     xs = x[osc]
@@ -436,27 +288,145 @@ def _debye_oscillatory_rows(nu: np.ndarray, x: np.ndarray, osc: np.ndarray,
     _row_max((4.0 * last + rounding) / denom, ids, starts, worst)
 
 
+# the contour rule takes the turning band |x - nu| < _BAND nu^{1/3} from
+# order 60, at whose edge the Debye form is off by 1.4e-12 of the envelope
+# sqrt(2 pi/W) (1e-11 at 8 nu^{1/3}); a tail ends where its exponent has
+# fallen by _DROP; Newton finds u0 in 6 steps for nu/x up to 1e8
+_BAND, _DROP, _NEWTON_STEPS = 9.0, 40.0, 7
+_END_GRID = 2.0 ** (np.arange(23) / 2.0 - 8.0)  # w = 2^-8 .. 8, steps of sqrt(2)
+_SINH_TAYLOR = [1.0 / math.factorial(2 * k + 1) for k in range(9, 0, -1)]
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [0, 1]: leggauss's nodes (off by a
+    few eps, its weights by more) polished by a Newton step on P_n in
+    extended precision, with P_n' carried along by Legendre's equation."""
+    t = leggauss(n)[0].astype(np.longdouble)
+    p_prev, p = np.ones_like(t), t
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
+    dp = n * (p_prev - t * p) / (1 - t * t)
+    step = -p / dp
+    dp += step * (2 * t * dp - n * (n + 1) * p) / (1 - t * t)
+    t += step
+    return (0.5 * (t + 1)).astype(float), (1 / ((1 - t * t) * dp * dp)).astype(float)
+
+
+# each piece returns its first rule and estimates from the difference to the second
+_TAIL_RULES = (_gauss_legendre(40), _gauss_legendre(30))
+_OSC_RULES = (_gauss_legendre(72), _gauss_legendre(56))
+
+
+def _sinh_minus(u: np.ndarray) -> np.ndarray:
+    """sinh u - u for u >= 0, by its Taylor series below u = 1."""
+    s = np.zeros_like(u)
+    for c in _SINH_TAYLOR:
+        s = s * u * u + c
+    return np.where(u < 1.0, s * u ** 3, np.sinh(u) - u)
+
+
+def _rules(f, rules, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integrals over [0, length[i]] of f (of the (point x node)
+    abscissae) by both rules, each point's nodes reduced on their own."""
+    (t1, w1), (t2, w2) = rules
+    v = f(length[:, None] * np.concatenate([t1, t2]))
+    return (length * np.matmul(v[:, None, :t1.size], w1[:, None]).ravel(),
+            length * np.matmul(v[:, None, t1.size:], w2[:, None]).ravel())
+
+
+def _contour_rows(nu: np.ndarray, x: np.ndarray, cont: np.ndarray,
+                  out: np.ndarray, worst: np.ndarray) -> np.ndarray:
+    """The steepest-descent contour integral (Gil, Segura & Temme, ACM TOMS
+    30 (2004) 145-164) at the points cont of x; returns their log|value|,
+    finite where the value underflows (to a zero of its sign).  On the path
+    t = u + iv, sin v = nu u / (x sinh u), K = Re int e^{i nu t - x cosh t} dt
+    has a positive integrand: e^{pi nu/2} K = int_{u0}^inf e^E du
+    + int_0^{u0} cos(nu u - x sinh u) du, E = nu (pi/2 - v) - x cosh u cos v,
+    with u0 = 0 for x >= nu, else the root of x sinh u0 = nu u0.  E falls
+    from its start e0; the tail puts u = u0 + w^2 and ends where E has fallen
+    by _DROP.  Each point takes its own nodes and sums."""
+    n, xs = np.broadcast_to(nu[:, None], x.shape)[cont], x[cont]
+    d = n - xs
+    ob, oa = np.flatnonzero(d > 0.0), np.flatnonzero(d <= 0.0)
+    # u0 by Newton from the right on the convex x (sinh u - u) - d u, which
+    # is positive at sqrt(6 d/x) and at L + log(L + 1) + 1, L = log(2 nu/x)
+    xb, db, big = xs[ob], d[ob], np.log(2.0 * n[ob] / xs[ob])
+    ub = np.minimum(np.sqrt(6.0 * db / xb), big + np.log(big + 1.0) + 1.0)
+    for _ in range(_NEWTON_STEPS if ob.size else 0):
+        ub -= (xb * _sinh_minus(ub) - db * ub) / (xb * (np.cosh(ub) - 1.0) - db)
+    # the start: pi/2 - v = delta0 = acos(nu/x), e0 = nu delta0 - sqrt(x^2 - nu^2)
+    u0, delta0, e0 = (np.zeros_like(xs) for _ in range(3))
+    u0[ob] = ub
+    delta0[oa] = 2.0 * np.arcsin(np.sqrt(-d[oa] / (2.0 * xs[oa])))
+    e0[oa] = n[oa] * delta0[oa] - np.sqrt(-d[oa] * (xs[oa] + n[oa]))
+
+    def drop(w):
+        """e0 - E at u = u0 + w^2, one row per point."""
+        u = u0[:, None] + w * w
+        # pi/2 - v = delta0 + 2 half, and x (cosh u sin delta - sin delta0)
+        # - nu (delta - delta0), in forms free of cancellation for x > nu
+        gap = (xs[:, None] * _sinh_minus(u) - d[:, None] * u) / (xs[:, None] * np.sinh(u))
+        half = np.arcsin(np.sqrt(0.5 * np.clip(gap, 0.0, 1.0))) - 0.5 * delta0[:, None]
+        sh = np.sinh(0.5 * u)
+        return (2.0 * xs[:, None] * (sh * sh * np.sin(delta0[:, None] + 2.0 * half)
+                                     + np.cos(delta0[:, None] + half) * np.sin(half))
+                - 2.0 * n[:, None] * half)
+
+    with np.errstate(all="ignore"):
+        # between the grid points around _DROP the drop grows like a power
+        # of w: solve in log-log (without a drop below, take the upper point)
+        drops = drop(_END_GRID)
+        j = np.maximum(np.argmax(drops >= _DROP, axis=1), 1)
+        lo, hi = drops[np.arange(xs.size), j - 1], drops[np.arange(xs.size), j]
+        w_end = _END_GRID[j - 1] * (_DROP / lo) ** (0.5 * math.log(2.0) / np.log(hi / lo))
+        w_end = np.where((lo > 0.0) & (w_end > 0.0), w_end, _END_GRID[j])
+        tail, tail_coarse = _rules(lambda w: 2.0 * w * np.exp(-drop(w)), _TAIL_RULES, w_end)
+        osc, osc_coarse = np.zeros_like(xs), np.zeros_like(xs)
+        osc[ob], osc_coarse[ob] = _rules(
+            lambda u: np.cos(db[:, None] * u - xb[:, None] * _sinh_minus(u)), _OSC_RULES, ub)
+        total = tail + osc
+        # and the rounding of the exponents, whose terms reach nu + x and |e0|
+        est = (np.abs(tail - tail_coarse) + np.abs(osc - osc_coarse)
+               + 2.0 * _EPS * (n + xs - e0) * (tail + u0)) / np.maximum(np.abs(total), 1e-300)
+        log_abs = e0 + np.log(np.abs(total))
+        out[cont] = np.copysign(np.exp(log_abs), total)
+    ids, starts, _counts = _row_groups(cont)
+    _row_max(est, ids, starts, worst)
+    return log_abs
+
+
+def _branch_masks(nu: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+    """The points of the 2-D x (row r at order nu[r]) each of _BRANCHES takes:
+    the Debye form x < nu below the turning band from order 60 (series
+    cancellation grows with x there), the series x < nu below order 60 and
+    small x, the contour rule the rest."""
+    order = nu[:, None]
+    large = order >= 60.0
+    band = large & (np.abs(x - order) < _BAND * np.cbrt(order))
+    osc = large & (x < order) & ~band
+    ser = ~osc & ~band & ((x * x <= 12.0 * np.sqrt(1.0 + order * order)) | (x < order))
+    k0 = ser & (order < 1e-8)
+    return [k0, ser & ~k0, osc, ~(ser | osc)]
+
+
+_BRANCHES = ((BesselMethod.POWER_SERIES, _k0_rows), (BesselMethod.POWER_SERIES, _series_rows),
+             (BesselMethod.ASYMPTOTIC, _debye_oscillatory_rows),
+             (BesselMethod.INTEGRAL_REPRESENTATION, _contour_rows))
+
+
 def bessel_k_scaled_rows(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized e^{pi nu/2} K_{i nu}(x) row by row: row r of the 2-D x at
     order nu[r].  Returns (values, worst) with worst[r] the worst relative
     error estimate of row r, at least 1e-15.
 
     Used by the spatial-overlap quadratures, one row per Kronrod panel, so
-    that many panels of many overlaps cost one call.  Points outside the
-    vectorizable comfort zones (x >= nu beyond the small-x region, and the
-    turning band) fall back to the scalar selector.
-
-    Each vectorized branch works on (term x point) arrays.  The power series
-    takes as many terms as its row's largest argument needs (r_k grows with
-    x), forms the r_k by cumulative products and sums the terms by
-    cumulative sums along the term axis, a block of terms at a time; the
-    oscillatory Debye branch runs Horner's rule for all u_k at once on a
-    zero-padded coefficient table.  Both keep the term-by-term order of
-    their recurrences, so a row's values and estimate do not depend on the
-    other rows of the call.  They do depend on the row's own points: a larger
-    argument in the row adds series terms, which can move the other values
-    in the last bit.
-    """
+    that many panels of many overlaps cost one call.  Each point goes to one
+    branch (_branch_masks) on (term or node x point) arrays; the series and
+    the Debye form keep the term-by-term order of their recurrences, the
+    contour rule sums each point's nodes on their own, so a row's values and
+    estimate do not depend on the other rows.  They do on the row's own
+    points: a larger argument adds series terms, which can move the others
+    in the last bit."""
     x = np.asarray(x, dtype=float)
     nu = np.abs(np.asarray(nu, dtype=float))
     if x.ndim != 2 or nu.shape != x.shape[:1]:
@@ -465,38 +435,49 @@ def bessel_k_scaled_rows(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.
         raise ValueError("x must be positive")
     out = np.empty_like(x)
     worst = np.full(nu.shape, 1e-15)
-    order = nu[:, None]
-
-    # large orders: the oscillatory Debye branch wherever it exists (series
-    # cancellation grows with x there); otherwise the series covers x < nu
-    # and the small-x region, everything else goes through the scalar selector
-    large = order >= 60.0
-    below = x < order
-    osc = large & below & ((order - x) * (order + x) >= 64.0)
-    ser = ~osc & ((x * x <= 12.0 * np.sqrt(1.0 + order * order)) | (~large & below))
-    rest = ~(ser | osc)
-
-    k0 = ser & (order < 1e-8)
-    ser &= ~k0
-    for branch, mask in ((_k0_rows, k0), (_series_rows, ser), (_debye_oscillatory_rows, osc)):
+    for (_method, branch), mask in zip(_BRANCHES, _branch_masks(nu, x)):
         if mask.any():
             branch(nu, x, mask, out, worst)
-    for r, c in zip(*np.nonzero(rest)):
-        log_scaled, sign, est, _m = _k_log_scaled(float(nu[r]), float(x[r, c]))
-        out[r, c] = sign * math.exp(min(log_scaled, _LOG_MAX)) if sign else 0.0
-        worst[r] = max(worst[r], est)
     return out, worst
 
 
 def bessel_k_scaled_values(nu: float, x: np.ndarray) -> tuple[np.ndarray, float]:
     """bessel_k_scaled_rows for one order over an array of arguments of any
-    shape: (values, worst relative error estimate).  The values depend on
-    which points share the call: the series takes as many terms as the
-    largest argument needs, so adding a larger argument can move the others
-    in the last bit."""
+    shape: (values, worst relative error estimate), the values as one row."""
     x = np.asarray(x, dtype=float)
     vals, worst = bessel_k_scaled_rows(np.array([nu], dtype=float), x.reshape(1, -1))
     return vals.reshape(x.shape), float(worst[0])
+
+
+def bessel_k_imag_order_log(nu: float, x: float) -> LogBesselEval:
+    """K_{i nu}(x) in log/sign form at any representable order: the row
+    kernel's branch at the one point (nu, x), tagged; where e^{pi nu/2} K
+    underflows (x >> nu), the contour rule's log form keeps log_abs finite."""
+    if not x > 0:
+        raise ValueError("x must be positive")
+    nu_, x_ = np.array([abs(float(nu))]), np.array([[float(x)]])
+    out, worst = np.empty((1, 1)), np.full(1, 1e-15)
+    method, branch = next(b for b, m in zip(_BRANCHES, _branch_masks(nu_, x_)) if m[0, 0])
+    with np.errstate(all="ignore"):
+        log_abs = branch(nu_, x_, np.ones((1, 1), dtype=bool), out, worst)
+    value = float(out[0, 0])
+    log_scaled = (float(log_abs[0]) if log_abs is not None
+                  else math.log(abs(value)) if value else -math.inf)
+    return LogBesselEval(log_scaled - 0.5 * math.pi * float(nu_[0]), math.copysign(1.0, value),
+                         float(worst[0]), method)
+
+
+def bessel_k_imag_order(nu: float, x: float) -> BesselEval:
+    """K_{i nu}(x) as a plain float; raises SpecialFunctionRangeError when the
+    value leaves double range (the log variant then still works)."""
+    ev = bessel_k_imag_order_log(nu, x)
+    if ev.log_abs > _LOG_MAX or ev.log_abs < _LOG_MIN:
+        raise SpecialFunctionRangeError(
+            f"K_(i {nu})({x}) has log-magnitude {ev.log_abs:.1f}, outside double "
+            "range; use bessel_k_imag_order_log")
+    value = ev.sign * math.exp(ev.log_abs)
+    return BesselEval(value, abs(value) * ev.rel_error_estimate, ev.method)
+
 
 # ----------------------------------------------------------------------
 # |Gamma(i y)|^2 and the resonance kernel

@@ -1,12 +1,13 @@
 """Self-contained verification checks behind the CLI `verify` subcommand.
 
 Five groups: the gamma identity against an independent complex-gamma oracle,
-the imaginary-order Bessel (the scalar selector and the row kernel the
-observables use) against a brute-force integral oracle, the Rindler
-mode against its differential equation, the long-time consistency of the
-stationary probability, and the small-acceleration recovery of the resting
-rate.  Each check returns a CheckResult; the CLI renders them as a table,
-and the acceptance suite reports criteria 1-4 and 8 from the same checks.
+the imaginary-order Bessel (the scalar front end and the row kernel the
+observables use) against a brute-force integral oracle and frozen
+turning-band values, the Rindler mode against its differential equation,
+the long-time consistency of the stationary probability, and the
+small-acceleration recovery of the resting rate.  Each check returns a
+CheckResult; the CLI renders them as a table, and the acceptance suite
+reports criteria 1-4 and 8 from the same checks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .accelerated import AveragingWindow, averaged_decay_rate, rindler_mode_spat
 from .core import FieldParams
 from .kinematics import cavity_geometry
 from .quadrature import QuadratureConfig
-from .specialfn import bessel_k_imag_order, bessel_k_scaled_rows, gamma_abs_sq_imag
+from .specialfn import (bessel_k_imag_order, bessel_k_imag_order_log, bessel_k_scaled_rows,
+                        gamma_abs_sq_imag)
 from .stationary import decay_probability_stationary, decay_rate_stationary_longtime
 
 CHECK_GROUPS = ("gamma", "bessel", "ode", "longtime", "recovery")
@@ -38,7 +40,7 @@ class CheckResult:
 
 def _oracle_bessel_k(nu: float, x: float) -> float:
     """Brute-force int_0^inf cos(nu t) e^{-x cosh t} dt on a fixed fine grid in
-    extended precision; independent of the adaptive method selection."""
+    extended precision; independent of the row kernel's branches."""
     dt = np.longdouble
     tmax = float(np.arccosh(dt(2400.0) / dt(min(x, 2400.0)))) + 1.5
     n = max(int(tmax * 640), 1200)
@@ -60,8 +62,19 @@ def check_gamma() -> CheckResult:
                        "|Gamma(iy)|^2 vs complex-loggamma oracle, y in [0.05, 20]")
 
 
+# (nu, x, e^{pi nu/2} K_{i nu}(x)) in the turning band, where the brute-force
+# integral cancels: mpmath's besselk at 50 digits, met to 2.6e-29 at 30 digits
+BAND_FROZEN = [(60.0, 58.0, 0.5123675568882435), (60.0, 61.0, 0.27595661843828967),
+               (100.0, 99.5, 0.33294566624082583), (100.0, 103.0, 0.1428507038249871),
+               (150.0, 147.825, 0.35814368892302006), (150.0, 153.766, 0.11433571413317636),
+               (300.0, 296.0, 0.3073981180189975), (300.0, 301.0, 0.18123913475856895),
+               (500.0, 497.0, 0.23516297275187845), (500.0, 505.0, 0.08533927633278668)]
+
+
 def check_bessel() -> CheckResult:
-    """The scalar selector and the row kernel (one row per order) on one grid."""
+    """The scalar front end and the row kernel (one row per order) on one
+    grid against the brute-force integral, and in the turning band against
+    frozen values."""
     nus = np.linspace(0.0, 10.0, 20)
     xs = np.geomspace(0.1, 20.0, 20)
     rows, _worst = bessel_k_scaled_rows(nus, np.tile(xs, (nus.size, 1)))
@@ -72,8 +85,15 @@ def check_bessel() -> CheckResult:
             scalar = bessel_k_imag_order(float(nu), float(x)).value
             batched = float(scaled) * math.exp(-0.5 * math.pi * float(nu))
             worst = max(worst, abs(scalar / ref - 1.0), abs(batched / ref - 1.0))
+    nus, xs, refs = np.array(BAND_FROZEN).T
+    band, _worst = bessel_k_scaled_rows(nus, xs[:, None])
+    for nu, x, ref, batched in zip(nus, xs, refs, band[:, 0]):
+        ev = bessel_k_imag_order_log(nu, x)
+        scalar = ev.sign * math.exp(ev.log_abs + 0.5 * math.pi * nu)
+        worst = max(worst, abs(scalar / ref - 1.0), abs(batched / ref - 1.0))
     return CheckResult("bessel", worst < 1e-8, worst, 1e-8,
-                       "K_{i nu}(x), scalar and rows, vs brute-force integral, 20x20 grid")
+                       "K_{i nu}(x), scalar and rows, vs brute-force integral, 20x20 grid, "
+                       f"and {len(BAND_FROZEN)} frozen turning-band values")
 
 
 def check_ode() -> CheckResult:
