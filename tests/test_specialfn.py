@@ -7,8 +7,9 @@ from scipy.special import loggamma
 
 from cavityclock.errors import SpecialFunctionRangeError
 from cavityclock.quadrature import _NODES
-from cavityclock.specialfn import (_BAND, _CKJ, _DEBYE_TERMS, BesselMethod, _contour_rows,
-                                   _debye_oscillatory_rows, _series_rows, _term_table,
+from cavityclock.specialfn import (_BAND, _CKJ, _DEBYE_TERMS, DEFAULT_BESSEL_TOL, BesselMethod,
+                                   _contour_rows, _debye_oscillatory_rows, _k0_rows,
+                                   _series_rows, _term_table,
                                    bessel_k_imag_order, bessel_k_imag_order_log,
                                    bessel_k_scaled_rows, bessel_k_scaled_values,
                                    gamma_abs_sq_imag, resonance_kernel)
@@ -160,27 +161,67 @@ class TestBesselK:
 SERIES, DEBYE, INTEGRAL = (BesselMethod.POWER_SERIES, BesselMethod.ASYMPTOTIC,
                            BesselMethod.INTEGRAL_REPRESENTATION)
 
-# (nu, x, method): the branch the row kernel takes at (nu, x), which tags
-# the scalar result
+# (nu, x, method): the method the first-fit selector picked at (nu, x) at
+# the default tolerance, frozen before the contour rule retired it.  The
+# scalar result now carries the row kernel's branch (row_branch); where that
+# differs, the frozen method (the series, the oscillatory Debye form or the
+# monotonic Debye form, frozen_method_value) still gives the value there
 FROZEN_TAGS = [
     # K_0 and the series
     (0.0, 0.05, SERIES), (0.0, 1.0, SERIES), (0.0, 3.0, SERIES), (1e-9, 2.0, SERIES),
     (0.5, 0.1, SERIES), (2.0, 1.0, SERIES), (6.15, 1.5, SERIES), (10.0, 5.0, SERIES),
     (40.0, 20.0, SERIES), (40.0, 39.0, SERIES), (59.9, 50.0, SERIES),
-    # nu >= 60 below the turning band, small x included: the oscillatory Debye form
-    (60.0, 5.0, DEBYE), (150.0, 10.0, DEBYE), (150.0, 50.0, DEBYE),
-    (400.0, 20.0, DEBYE), (400.0, 100.0, DEBYE), (150.0, 100.0, DEBYE), (400.0, 300.0, DEBYE),
-    # x >= nu beyond the small-x region: the contour rule
-    (0.5, 30.0, INTEGRAL), (5.0, 40.0, INTEGRAL), (150.0, 200.0, INTEGRAL),
-    (400.0, 500.0, INTEGRAL), (1.0, 8.0, INTEGRAL), (2.0, 7.0, INTEGRAL),
-    (6.15, 12.0, INTEGRAL), (10.0, 12.0, INTEGRAL), (30.0, 33.0, INTEGRAL),
-    (60.0, 62.0, INTEGRAL), (60.0, 80.0, INTEGRAL),
-    # the turning band |x - nu| < 9 nu^(1/3) at nu >= 60: the contour rule
-    (60.0, 40.0, INTEGRAL), (60.0, 54.5, INTEGRAL), (150.0, 135.5, INTEGRAL),
-    (400.0, 360.5, INTEGRAL), (150.0, 147.825, INTEGRAL), (150.0, 149.8, INTEGRAL),
-    (150.0, 149.9, INTEGRAL), (150.0, 149.99, INTEGRAL), (150.0, 150.1, INTEGRAL),
-    (150.0, 150.2, INTEGRAL), (150.0, 153.766, INTEGRAL), (237.1, 233.7, INTEGRAL),
+    # nu >= 60 at small x: the series, where the oscillatory Debye form goes now
+    (60.0, 5.0, SERIES), (150.0, 10.0, SERIES), (150.0, 50.0, SERIES),
+    (400.0, 20.0, SERIES), (400.0, 100.0, SERIES),
+    # x ~ 0.9 nu: the oscillatory Debye form, where in the turning band the contour rule goes now
+    (150.0, 100.0, DEBYE), (400.0, 300.0, DEBYE), (150.0, 135.5, DEBYE), (400.0, 360.5, DEBYE),
+    # the monotonic Debye form, where the contour rule goes now
+    (0.5, 30.0, DEBYE), (5.0, 40.0, DEBYE), (150.0, 200.0, DEBYE), (400.0, 500.0, DEBYE),
+    # the integral strip around x = nu: the trapezoid then, the contour rule now
+    (1.0, 8.0, INTEGRAL), (2.0, 7.0, INTEGRAL), (6.15, 12.0, INTEGRAL), (10.0, 12.0, INTEGRAL),
+    (30.0, 33.0, INTEGRAL), (60.0, 62.0, INTEGRAL), (60.0, 80.0, INTEGRAL),
+    (150.0, 150.1, INTEGRAL), (150.0, 150.2, INTEGRAL), (150.0, 153.766, INTEGRAL),
+    # the series in the turning band at nu = 60
+    (60.0, 40.0, SERIES),
 ]
+
+# turning-band points where the selector's pick, the series, missed both the
+# default tolerance and its own estimate (relative error 2.6e-10 against an
+# estimate of 1.8e-10 at nu = 60, 25 to 5e10 at nu >= 150): the contour
+# rule's points, and so tagged now
+BAND_TAGS = [
+    (60.0, 54.5, INTEGRAL), (150.0, 147.825, INTEGRAL), (150.0, 149.8, INTEGRAL),
+    (150.0, 149.9, INTEGRAL), (150.0, 149.99, INTEGRAL), (237.1, 233.7, INTEGRAL),
+]
+
+
+def debye_monotonic(nu, x):
+    """The monotonic Debye form (x > nu, W' = sqrt(x^2 - nu^2) >= 8) of the
+    retired selector: e^{pi nu/2} K = sqrt(pi/2W') e^{pi nu/2 - W' - nu
+    asin(nu/x)} times the series in 1/W', and its estimate."""
+    wp = math.sqrt((x - nu) * (x + nu))
+    pt2 = (nu / wp) ** 2
+    total = term = 0.0
+    for k in range(_DEBYE_TERMS):
+        s = 0.0
+        for j in range(k, -1, -1):
+            s = s * pt2 + _CKJ[k][j] * (1.0 if j % 2 == 0 else -1.0)
+        term = (-1.0 if k % 2 else 1.0) * s / wp**k
+        total += term
+    scale = math.exp(0.5 * math.pi * nu - wp - nu * math.asin(nu / x))
+    return math.sqrt(math.pi / (2.0 * wp)) * scale * total, 4.0 * abs(term) / abs(total) + 1e-15
+
+
+def frozen_method_value(nu, x, method):
+    """e^{pi nu/2} K_{i nu}(x) and its estimate from the named method alone."""
+    if method is DEBYE and x > nu:
+        return debye_monotonic(nu, x)
+    branch = {SERIES: _k0_rows if nu < 1e-8 else _series_rows,
+              DEBYE: _debye_oscillatory_rows, INTEGRAL: _contour_rows}[method]
+    out, worst = np.zeros((1, 1)), np.full(1, 1e-15)
+    branch(np.array([nu]), np.array([[x]]), np.ones((1, 1), dtype=bool), out, worst)
+    return float(out[0, 0]), float(worst[0])
 
 
 def row_branch(nu, x):
@@ -197,11 +238,22 @@ def row_branch(nu, x):
 class TestScalarFrontEnd:
     @pytest.mark.parametrize("nu, x, method", FROZEN_TAGS)
     def test_frozen_method_tags(self, nu, x, method):
+        # tagged with the row kernel's branch; the frozen method's value lies
+        # within the tolerance the selector accepted it at (or its estimate,
+        # where none met the tolerance) of the scalar result
+        ev = bessel_k_imag_order_log(nu, x)
+        assert ev.method is row_branch(nu, x)
+        value, est = frozen_method_value(nu, x, method)
+        scalar = ev.sign * math.exp(ev.log_abs + 0.5 * math.pi * nu)
+        assert abs(value - scalar) <= max(est, DEFAULT_BESSEL_TOL) * abs(scalar)
+
+    @pytest.mark.parametrize("nu, x, method", BAND_TAGS)
+    def test_band_method_tags(self, nu, x, method):
         assert bessel_k_imag_order_log(nu, x).method is method
 
     def test_vectorized_methods_are_row_calls(self):
         # the scalar result is the one-point row call, tagged with its branch
-        grid = [(nu, x) for nu, x, _m in FROZEN_TAGS]
+        grid = [(nu, x) for nu, x, _m in FROZEN_TAGS + BAND_TAGS]
         grid += [(float(nu), float(x)) for nu in [0.0, *np.geomspace(0.01, 500.0, 12)]
                  for x in np.geomspace(0.01, 1.2 * nu + 20.0, 15)]
         seen = set()
