@@ -9,6 +9,9 @@ cannot share one process.  Both run:
 * the first ops of every perfbench workload for each seed, drawn by this
   checkout's perfbench/workloads.py (imported, never changed); an op's values
   are compared as float.hex, together with the name of the check it failed;
+* the evaluations and converged flag of the first STATIONARY_STEPS
+  stationary-probability ops of each seed, from decay_probability_stationary
+  called with each op's args;
 * the values behind the deviation-sweep anchors: the criterion-9 deviations
   and the scaled overlap at alpha = 0.5;
 * one accelerated probability (l = 1, M = 1, alpha = 0.5, tau = 5): its value
@@ -31,7 +34,10 @@ cannot share one process.  Both run:
   alpha sweep of the accelerated rate, a t_or_tau sweep of the accelerated
   and of the stationary probability, and the README's deviation sweep.
 
-Prints what was compared and exits 1 on any difference.  For every item
+Prints what was compared and exits 1 on any difference.  It also prints,
+without comparing them, the integrand calls (quadrature rounds) of the
+stationary probability at t = 200 and of the accelerated one at tau = 5,
+so that a change to the rounds shows beside equal evaluations.  For every item
 that differs it prints the largest relative move of its values and of its
 error estimates.
 """
@@ -50,6 +56,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 OPS = {"stationary-probability": 600, "accel-probability": 40, "deviation-sweep": 300}
+STATIONARY_STEPS = 100
 # (order, panel) rows of the row-kernel call; the comment gives the branch
 KERNEL_ROWS = [
     (0.0, (0.05, 3.0)),            # K_0 series
@@ -86,6 +93,32 @@ def raised(call) -> str:
     return "no exception"
 
 
+def integrand_calls(module, call) -> dict:
+    """The calls of each integrand that module passes to integrate() and
+    integrate_rows() while call() runs: {function name: calls}."""
+    counts = {}
+
+    def counting(name, run):
+        def counted(f, *args, **kwargs):
+            def g(*xs):
+                counts[name] += 1
+                return f(*xs)
+            return run(g, *args, **kwargs)
+        return counted
+
+    originals = {name: getattr(module, name) for name in ("integrate", "integrate_rows")
+                 if hasattr(module, name)}
+    for name, run in originals.items():
+        counts[name] = 0
+        setattr(module, name, counting(name, run))
+    try:
+        call()
+    finally:
+        for name, run in originals.items():
+            setattr(module, name, run)
+    return counts
+
+
 def emit(root: Path, seeds: list[int]) -> dict:
     """Everything compared, computed with the package in root/src."""
     sys.path[:0] = [str(root / "src"), str(ROOT / "perfbench")]
@@ -105,6 +138,18 @@ def emit(root: Path, seeds: list[int]) -> dict:
             ops[f"{name} seed {seed}"] = [
                 [list(map(float.hex, out.values)), out.failure]
                 for out in (workload.execute(*op.args) for op in itertools.islice(stream, n))]
+    workload, evaluations = WORKLOADS["stationary-probability"](), {}
+    for seed in seeds:
+        stream = workload.ops(np.random.default_rng(seed))
+        steps = []
+        for op in itertools.islice(stream, STATIONARY_STEPS):
+            l, M, t = op.args
+            try:
+                p = cc.decay_probability_stationary(cc.cavity_geometry(l, 0.0), FieldParams(M), t)
+                steps.append([int(p.diagnostics["evaluations"]), bool(p.diagnostics["converged"])])
+            except Exception as exc:
+                steps.append(f"{type(exc).__name__}: {exc}")
+        evaluations[f"stationary P evaluations, seed {seed}"] = steps
     anchors = {f"deviation alpha={a}": cc.ideal_clock_deviation(cc.cavity_geometry(1.0, a),
                                                                 FieldParams(1.0)).hex()
                for a in CRITERION_9_FROZEN}
@@ -117,6 +162,13 @@ def emit(root: Path, seeds: list[int]) -> dict:
         float(p.diagnostics["worst_overlap_rel_est"]).hex()]
     p = cc.decay_probability_stationary(cc.cavity_geometry(1.0, 0.0), FieldParams(1.0), 200.0)
     anchors["stationary P t=200 evaluations"] = p.diagnostics["evaluations"]
+    from cavityclock import accelerated, stationary
+    calls = {
+        "stationary P t=200": integrand_calls(stationary, lambda: cc.decay_probability_stationary(
+            cc.cavity_geometry(1.0, 0.0), FieldParams(1.0), 200.0)),
+        "accelerated P tau=5": integrand_calls(accelerated, lambda: cc.decay_probability_accelerated(
+            cc.cavity_geometry(1.0, 0.5), FieldParams(1.0), 5.0)),
+    }
     from cavityclock.quadrature import _NODES
     from cavityclock.specialfn import bessel_k_scaled_rows
     panels = [0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo) for _nu, (lo, hi) in KERNEL_ROWS]
@@ -142,7 +194,8 @@ def emit(root: Path, seeds: list[int]) -> dict:
             path = Path(tmp) / "out.csv"
             code = cli_main(argv + ["--output", str(path)])
             csvs[name] = [code, path.read_text()]
-    return {"ops": ops, "anchors": anchors, "csvs": csvs}
+    return {"ops": ops, "anchors": anchors, "csvs": csvs,
+            "evaluations": evaluations, "calls": calls}
 
 
 def run_checkout(root: Path, seeds: list[int]) -> dict:
@@ -184,6 +237,10 @@ def compare(mine: dict, theirs: dict) -> int:
             line += f"; largest move: values {values:.2e}, estimates {estimates:.2e}"
         print(line)
         differences += differ
+    for key, steps in mine["evaluations"].items():
+        differ = sum(a != b for a, b in zip(steps, theirs["evaluations"][key]))
+        print(f"{key}: {len(steps)} ops (evaluations, converged), {differ} differ")
+        differences += differ
     differ = [k for k in mine["anchors"] if mine["anchors"][k] != theirs["anchors"][k]]
     print(f"anchor values: {len(mine['anchors'])}, {len(differ)} differ"
           + "".join(f"\n  differs: {k} (largest move "
@@ -194,6 +251,9 @@ def compare(mine: dict, theirs: dict) -> int:
         print(f"{name}: exit {code}, {len(text.encode())} bytes, "
               f"{'identical' if same else 'DIFFERENT'}")
         differences += not same
+    for name, counts in mine["calls"].items():
+        print(f"{name}: integrand calls " + ", ".join(
+            f"{fn} {n} (against {theirs['calls'][name][fn]})" for fn, n in counts.items()))
     return differences
 
 

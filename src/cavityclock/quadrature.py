@@ -14,30 +14,20 @@ need guarantees quad does not give:
   errors are summed exactly, so their order does not matter),
 * evaluation counts and a converged flag are reported.
 
-Each refinement round costs one integrand call, which gets every abscissa
-of the round at once (integrate() passes f a 1-D numpy array in panel
-order; integrate_rows() a (panels x 15) array for many integrals), and one
-panel reduction (_panels()).  The first round (_first_round) holds the
-initial panels of every integral of the call.  An integral whose initial
-panels meet the tolerance ends there, from math.fsum of their values and
-errors (most overlaps do); only the others start the adaptive loop
-(_adaptive), a generator that bisects the panel of largest error, one per
-step, yields the bounds of the panels it needs and takes back each panel's
-(value, error) from the driver.  After the first, a round holds the halves
-of the panel the next step bisects and, looking ahead, those of every
-other panel whose error is above the current tolerance: the loop cannot
-converge before it bisects them, so it keeps their halves, and the steps
-that bisect them cost no round.  A round that looked ahead and failed (f
-raised or gave a non-finite value) is asked again without the look-ahead,
-and the integral looks ahead no more, so a failure is raised from the
-panels that one bisection per round fails on.  _panels() gives every panel
-the bits it gets when reduced alone, so the results are those of calling f
-panel by panel, one bisection at a time, whenever f works point by point,
-its value at a point not depending on which other points share the call.
-evaluations counts the panels the loop used: halves looked ahead for a
-panel it never bisects, because it stopped at max_subdivisions or |total|
-grew past that panel's error first, are not counted (the benchmark's
-workloads showed none).
+The integrals refine in rounds (_drive), each costing one integrand call,
+which gets every abscissa of the round at once (integrate() passes f a 1-D
+numpy array; integrate_rows() a (panels x 15) array for many integrals),
+and one panel reduction (_panels()).  The first round holds the initial
+panels of every integral.  After each round, an integral whose error sum is
+at most max(abs_tol, rel_tol * |total|) has converged; each other one
+bisects its panel of largest error and then every panel whose error alone
+is above that tolerance (the sum cannot meet it while one is left), and the
+next round evaluates their halves; at max_subdivisions, or with its largest
+panel at machine resolution, it ends unconverged.  The result is that of
+one bisection per round unless |total| grows within a round or the cap is
+reached mid-round, and that of calling f panel by panel whenever f's value
+at a point does not depend on the other points of the call (_panels() gives
+each panel the bits it gets alone).  evaluations counts the abscissae f got.
 """
 
 from __future__ import annotations
@@ -165,7 +155,7 @@ def _breakpoints(a: float, b: float, singular=(), resonances=()) -> list[float]:
 def _round_values(fv, xs: np.ndarray) -> np.ndarray:
     """The integrand's values fv at one round's abscissae xs, refused unless
     there is one finite value per abscissa; a non-finite one is named by the
-    first abscissa, in panel order, where it occurs."""
+    first abscissa, in round order, where it occurs."""
     fv = np.asarray(fv, dtype=float)
     if fv.shape != xs.shape:
         raise ValueError(f"integrand returned shape {fv.shape} for abscissae of shape "
@@ -175,27 +165,6 @@ def _round_values(fv, xs: np.ndarray) -> np.ndarray:
         x_bad = float(xs.flat[int(np.argmin(finite))])
         raise IntegrandError(f"non-finite integrand value at x = {x_bad!r}")
     return fv
-
-
-def _must_bisect(heap, tol: float, limit: int, halves: dict) -> list[tuple[float, float]]:
-    """Bounds of up to limit panels below the root of heap that the adaptive
-    loop must bisect before it can converge, leaving out those whose halves
-    are on hand and those at machine resolution.  A panel with an error
-    above tol keeps the exact error sum above tol, so the loop bisects it
-    unless |total| grows by err / tol first or the loop stops unconverged.
-    No entry at or under tol has a descendant above it, so the walk from the
-    root visits only the entries above tol and their children."""
-    found = []
-    stack = [1, 2]
-    n, neg_tol = len(heap), -tol
-    while stack and len(found) < limit:
-        i = stack.pop()
-        if i < n and heap[i][0] < neg_tol:
-            stack += (2 * i + 1, 2 * i + 2)
-            _neg_err, lo, hi, _value, _err = heap[i]
-            if lo < 0.5 * (lo + hi) < hi and (lo, hi) not in halves:
-                found.append((lo, hi))
-    return found
 
 
 def _initial_bounds(a: float, b: float, singular=(), resonances=()) -> list[tuple[float, float]]:
@@ -216,80 +185,6 @@ def _tolerance(cfg: QuadratureConfig, total: float) -> float:
     return max(cfg.abs_tol, cfg.rel_tol * abs(total))
 
 
-def _adaptive(bounds: list[tuple[float, float]], panels: list[tuple[float, float]],
-              cfg: QuadratureConfig):
-    """The adaptive loop as a generator, for an integral whose initial
-    panels, with these bounds and (value, error) pairs, miss the tolerance.
-    Each round it yields the panels it needs next as a list of (lo, hi)
-    bounds, takes back one (value, error) pair per panel, in that order, and
-    at the end returns the IntegralResult.  integrate() and
-    integrate_rows() drive it: they evaluate and check the integrand
-    (_round_values) and reduce each round's panels (_panels).
-
-    Each step bisects the panel of largest error.  When its halves are not
-    on hand, the round asks for them first and then for the halves of every
-    other panel the loop must still bisect (_must_bisect), which it keeps
-    for the steps that bisect those panels; a step whose halves are on hand
-    asks for nothing.  The bisection sequence, and so the result, is that
-    of one bisection per round.  A driver whose round looked ahead and
-    failed sends None instead of the pairs: the loop then asks for the
-    step's two halves alone and looks ahead no more."""
-    # (-err, a, b, value, err), value and err as _fixed integers, so that the
-    # running sums of the heap's values and errors are exact
-    heap: list[tuple[float, float, float, int, int]] = []
-    for (lo, hi), (value, err) in zip(bounds, panels):
-        heapq.heappush(heap, (-err, lo, hi, _fixed(value), _fixed(err)))
-    values = sum(item[3] for item in heap)
-    errors = sum(item[4] for item in heap)
-    unit = 1 << 1074
-    halves = {}  # (lo, hi) -> the (value, error) pairs of its halves, looked ahead
-    ahead = True
-    subdivisions = 0
-    while True:
-        total = values / unit
-        total_err = errors / unit
-        tol = _tolerance(cfg, total)
-        if total_err <= tol:
-            converged = True
-            break
-        if subdivisions >= cfg.max_subdivisions:
-            converged = False
-            break
-        _neg_err, lo, hi, value, err = heap[0]
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval at machine resolution; give up
-            converged = False
-            break
-        pair = halves.pop((lo, hi), None)
-        if pair is None:
-            # at most as many as the bisections left after this one
-            later = (_must_bisect(heap, tol, cfg.max_subdivisions - subdivisions - 1, halves)
-                     if ahead else [])
-            request = []
-            for p_lo, p_hi in [(lo, hi), *later]:
-                p_mid = 0.5 * (p_lo + p_hi)
-                request += [(p_lo, p_mid), (p_mid, p_hi)]
-            reply = yield request
-            if reply is None:
-                ahead, later = False, []
-                reply = yield request[:2]
-            for k, key in enumerate(later, 1):
-                halves[key] = reply[2 * k:2 * k + 2]
-            pair = reply[:2]
-        (v_lo, e_lo), (v_hi, e_hi) = pair
-        lo_half = (-e_lo, lo, mid, _fixed(v_lo), _fixed(e_lo))
-        hi_half = (-e_hi, mid, hi, _fixed(v_hi), _fixed(e_hi))
-        heapq.heapreplace(heap, lo_half)
-        heapq.heappush(heap, hi_half)
-        values += lo_half[3] + hi_half[3] - value
-        errors += lo_half[4] + hi_half[4] - err
-        subdivisions += 1
-
-    evaluations = _NODES.size * (len(bounds) + 2 * subdivisions)
-    return IntegralResult(total, total_err, evaluations, converged)
-
-
 def _abscissae(bounds) -> tuple[np.ndarray, list[float]]:
     """The (panels x 15) Kronrod abscissae of the panels with these (lo, hi)
     bounds, and each panel's half-width."""
@@ -298,43 +193,56 @@ def _abscissae(bounds) -> tuple[np.ndarray, list[float]]:
     return np.array(half)[:, None] * _NODES + np.array(mid)[:, None], half
 
 
-def _first_round(evaluate: Callable, starts: list[list[tuple[float, float]]],
-                 cfg: QuadratureConfig) -> tuple[list, dict, dict]:
-    """The first round of the adaptive quadratures of integrals whose
-    initial panels have the bounds starts[i]: one call evaluate(ids, xs)
-    returns the checked integrand values at the (panels x 15) abscissae xs
-    of every integral's initial panels, ids[p] naming the integral of panel
-    p.  An integral whose panels meet the tolerance ends there, from
-    math.fsum of their values and errors, and one without panels ends at 0
-    with no evaluation; only the others start an _adaptive loop.
-
-    Returns (results, loops, pending): results[i] is integral i's
-    IntegralResult, or None while it runs; loops maps each running integral
-    to its loop, and pending to the bounds of the panels the loop asks for
-    next."""
-    counts = [len(bounds) for bounds in starts]
-    flat = [p for bounds in starts for p in bounds]
-    panels = []
-    if flat:
-        xs, half = _abscissae(flat)
-        panels = _panels(evaluate(np.repeat(np.arange(len(starts)), counts), xs), half)
-    results: list[IntegralResult | None] = [None] * len(starts)
-    loops, pending, start = {}, {}, 0
-    for i, (bounds, n) in enumerate(zip(starts, counts)):
-        first = panels[start:start + n]
-        start += n
-        total = math.fsum(value for value, _err in first)
-        total_err = math.fsum(err for _value, err in first)
-        if total_err <= _tolerance(cfg, total):
-            # most overlaps end here: no heap and no exact running sums
-            results[i] = IntegralResult(total, total_err, _NODES.size * n, True)
-            continue
-        loops[i] = _adaptive(bounds, first, cfg)
-        try:
-            pending[i] = next(loops[i])
-        except StopIteration as done:
-            results[i] = done.value
-    return results, loops, pending
+def _drive(evaluate: Callable, starts: list[list[tuple[float, float]]],
+           cfg: QuadratureConfig) -> list[IntegralResult]:
+    """The quadratures of integrals whose initial panels have the bounds
+    starts[i], in rounds: evaluate(ids, xs) returns the checked values at the
+    (panels x 15) abscissae xs that the running integrals ask for, ids[p]
+    naming the integral of panel p, in id order.  No panels: 0, no evaluation."""
+    unit = 1 << 1074
+    results = [IntegralResult(0.0, 0.0, 0, True)] * len(starts)
+    # integral -> [heap of (-err, lo, hi, value, err), values, errors, evaluations,
+    # bisections left], value and err as _fixed integers: the running sums are exact
+    state = {i: [[], 0, 0, 0, cfg.max_subdivisions] for i, bounds in enumerate(starts) if bounds}
+    asked = {i: starts[i] for i in state}
+    while asked:
+        counts = [len(bounds) for bounds in asked.values()]
+        xs, half = _abscissae([p for bounds in asked.values() for p in bounds])
+        panels = iter(_panels(evaluate(np.repeat(list(asked), counts), xs), half))
+        running = {}
+        for i, bounds in asked.items():
+            heap, values, errors, evaluations, left = state[i]
+            new = [next(panels) for _ in bounds]
+            evaluations += _NODES.size * len(bounds)
+            if not heap:  # new panels only (initial, mostly): fsum rounds as int sums do
+                total, total_err = map(math.fsum, zip(*new))
+                if total_err <= _tolerance(cfg, total):
+                    results[i] = IntegralResult(total, total_err, evaluations, True)
+                    continue
+            for (lo, hi), (value, err) in zip(bounds, new):
+                v, e = _fixed(value), _fixed(err)
+                heapq.heappush(heap, (-err, lo, hi, v, e))
+                values, errors = values + v, errors + e
+            total, total_err = values / unit, errors / unit
+            tol = _tolerance(cfg, total)
+            request = []
+            # the top panel, then each next one whose error is above tol
+            while (total_err > tol and heap and len(request) < 2 * left
+                   and (not request or heap[0][0] < -tol)):
+                _neg_err, lo, hi, value, err = heap[0]
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break  # panel at machine resolution
+                heapq.heappop(heap)
+                values, errors = values - value, errors - err
+                request += [(lo, mid), (mid, hi)]
+            if request:
+                running[i] = request
+                state[i] = [heap, values, errors, evaluations, left - len(request) // 2]
+            else:
+                results[i] = IntegralResult(total, total_err, evaluations, total_err <= tol)
+        asked = running
+    return results
 
 
 def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = None, *,
@@ -348,88 +256,34 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
 
     Returns the best estimate with converged=False when the tolerance was not
     reached within max_subdivisions.  Non-finite samples abort with
-    IntegrandError naming the first such abscissa in panel order (declared
+    IntegrandError naming the first such abscissa in round order (declared
     singular points are never sampled, so they cannot trigger this).
-    evaluations counts 15 abscissae per panel the loop used: the initial
-    panels and both halves of each bisected panel.
 
-    f is called once per refinement round, with every abscissa of the round
-    as one 1-D array in panel order: 15 per initial panel in the first call,
-    then 30 per panel whose halves the round asks for (see the module
-    docstring): the panel of largest error first, then every other panel
-    whose error is above the current tolerance.  When a round of more than
-    one such panel fails, it is asked again with the first alone, and a
-    failure there is raised.  f must return one value per abscissa
-    (ValueError otherwise).  The result equals that of calling f panel by
-    panel, one bisection at a time, whenever f's value at a point does not
-    depend on which other points share the call.
+    f is called once per round (see the module docstring) with the round's
+    abscissae as one 1-D array, 15 per panel: the initial panels, then the
+    halves, lower first, of each panel the round bisects, largest error
+    first.  f must return one value per abscissa (ValueError otherwise); a
+    call that raises or gives a non-finite value ends the integral with it.
     """
     def evaluate(_ids, xs):
         flat = xs.ravel()
         return _round_values(f(flat), flat).reshape(xs.shape)
 
-    cfg = cfg or QuadratureConfig()
-    (result,), loops, pending = _first_round(
-        evaluate, [_initial_bounds(a, b, singular, resonances)], cfg)
-    if not pending:
-        return result
-    loop, bounds = loops[0], pending[0]
-    try:
-        while True:
-            xs, half = _abscissae(bounds)
-            try:
-                fv = evaluate(None, xs)
-            except Exception:
-                if len(bounds) == 2:  # the round did not look ahead
-                    raise
-                bounds = loop.send(None)
-                continue
-            bounds = loop.send(_panels(fv, half))
-    except StopIteration as done:
-        return done.value
+    return _drive(evaluate, [_initial_bounds(a, b, singular, resonances)],
+                  cfg or QuadratureConfig())[0]
 
 
 def integrate_rows(f: Callable, intervals, cfg: QuadratureConfig | None = None) -> list[IntegralResult]:
     """integrate() over many intervals in lockstep, with one call of f per
     round: f(ids, xs) gets the (panels x 15) abscissae that the unfinished
-    integrals need next, ids[p] naming the interval of panel p, and returns
-    one value per abscissa, in that shape.  The first round holds one panel
-    per interval of nonzero width; the intervals it meets the tolerance for
-    end there, and only the others go on to bisect.  Each integral takes
-    the steps integrate() takes with no breakpoints, looking ahead as it
-    does, so its result is integrate()'s whenever f's value at a panel does
-    not depend on the other panels.  When a round in which some integral
-    looked ahead fails, every unfinished integral is asked again for its
-    step alone and none looks ahead any more; if several integrals would
-    fail, the one raised need not be the one that integrate() one by one
-    meets first.
-    """
-    def evaluate(ids, xs):
-        return _round_values(f(ids, xs), xs)
-
-    results, loops, pending = _first_round(
-        evaluate, [_initial_bounds(a, b) for a, b in intervals], cfg or QuadratureConfig())
-    while pending:
-        counts = [len(bounds) for bounds in pending.values()]
-        ids = np.repeat(list(pending), counts)
-        xs, half = _abscissae([p for bounds in pending.values() for p in bounds])
-        try:
-            fv = evaluate(ids, xs)
-        except Exception:
-            if max(counts) <= 2:  # no integral looked ahead
-                raise
-            pending = {i: loops[i].send(None) for i in pending}
-            continue
-        panels = _panels(fv, half)
-        start, waiting = 0, {}
-        for i, n in zip(pending, counts):
-            try:
-                waiting[i] = loops[i].send(panels[start:start + n])
-            except StopIteration as done:
-                results[i] = done.value
-            start += n
-        pending = waiting
-    return results
+    integrals need next, ids[p] naming the interval of panel p (ascending),
+    and returns one value per abscissa, in that shape.  The first round
+    holds one panel per interval of nonzero width.  Each integral takes
+    integrate()'s rounds, so its result is integrate()'s whenever f's value
+    at a panel does not depend on the other panels.  A failing round raises
+    its first failure in panel order."""
+    return _drive(lambda ids, xs: _round_values(f(ids, xs), xs),
+                  [_initial_bounds(a, b) for a, b in intervals], cfg or QuadratureConfig())
 
 
 def truncation_point(tail_bound: Callable[[float], float], start: float,

@@ -494,19 +494,14 @@ def gamma_abs_sq_imag(y: float) -> float:
 
 
 def resonance_kernel(x, t):
-    """sin^2(x t / 2) / x^2 with the x -> 0 limit t^2/4.  Accepts arrays in x."""
+    """sin^2(x t / 2) / x^2 with the x -> 0 limit t^2/4, elementwise on
+    arrays; a Python float for scalar x and t."""
     if (t < 0) if isinstance(t, float) else np.any(np.asarray(t) < 0):
         raise ValueError("duration t must be nonnegative")
-    if np.ndim(x) == 0:
-        x = float(x)
-        u = 0.5 * x * t
-        if abs(u) < 1e-8:  # series limit; also dodges subnormal squaring
-            return 0.25 * t * t * (1.0 - u * u / 3.0)
-        s = math.sin(u)
-        return (s * s) / (x * x)
     x = np.asarray(x, dtype=float)
     u = 0.5 * x * t
-    tiny = np.abs(u) < 1e-8
+    tiny = np.abs(u) < 1e-8  # series limit; also dodges subnormal squaring
     safe = np.where(tiny, 1.0, x)
     s = np.sin(u)
-    return np.where(tiny, 0.25 * t * t * (1.0 - u * u / 3.0), (s * s) / (safe * safe))
+    out = np.where(tiny, 0.25 * t * t * (1.0 - u * u / 3.0), (s * s) / (safe * safe))
+    return out if out.ndim else float(out)

@@ -1,4 +1,3 @@
-import heapq
 import math
 from collections import Counter
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavityclock import accelerated, kinematics, quadrature, stationary
+from cavityclock import accelerated, kinematics, stationary
 from cavityclock.core import FieldParams
 from cavityclock.errors import IntegrandError, SuperluminalPathError
 from cavityclock.kinematics import Trajectory, cavity_geometry, proper_time
@@ -191,13 +190,12 @@ class TestLockstep:
         assert rounds[0] == [0, 1, 3, 4]
         assert all(ids == sorted(ids) and all(n % 2 == 0 for n in c.values())
                    for ids, c in zip(rounds[1:], counts[1:]))
-        # a converged integral uses every half it asked for; the unconverged
-        # one stops at the subdivision cap short of panels it looked ahead
-        # for, whose halves evaluations does not count
+        # every half asked for is used: the halves each integral asked for
+        # are its evaluations, the capped integral's included
         asked = [sum(c[i] for c in counts) for i in range(5)]
-        assert asked[:4] == [r.evaluations // 15 for r in want[:4]]
-        assert asked[4] > want[4].evaluations // 15
-        # looking ahead, the 40 bisections of the longest integral take fewer rounds
+        assert asked == [r.evaluations // 15 for r in want]
+        # bisecting every panel above the tolerance in a round, the 40
+        # bisections of the longest integral take fewer rounds
         assert len(rounds) < 1 + 40
 
     def test_nonfinite_names_same_abscissa(self):
@@ -217,22 +215,9 @@ class TestLockstep:
 
 class TestFirstRound:
     """Every integral's initial panels share the first round; one they meet
-    the tolerance for ends there, and only the others start the adaptive
-    loop."""
+    the tolerance for ends there, and only the others take later rounds."""
 
-    @staticmethod
-    def counting_loops(monkeypatch):
-        started = []
-        adaptive = quadrature._adaptive
-
-        def counting(bounds, panels, cfg):
-            started.append(bounds)
-            return adaptive(bounds, panels, cfg)
-
-        monkeypatch.setattr(quadrature, "_adaptive", counting)
-        return started
-
-    def test_four_kinds_same_bits_as_integrate(self, monkeypatch):
+    def test_four_kinds_same_bits_as_integrate(self):
         fs = [lambda x: x * x,                                       # first panel
               lambda x: np.sin(40.0 * x) / ((x - 0.3) ** 2 + 1e-5),  # bisected
               np.exp,                                                # zero width
@@ -248,23 +233,27 @@ class TestFirstRound:
             rounds.append(ids.tolist())
             return TestLockstep.rows_of(fs)(ids, xs)
 
-        started = self.counting_loops(monkeypatch)
         got = integrate_rows(f, intervals)
         assert [bits(r) for r in got] == [bits(r) for r in want]
         # one panel per interval of resolvable width, then the bisected one alone
         assert rounds[0] == [0, 1, 4]
         assert len(rounds) > 1 and all(set(ids) == {1} for ids in rounds[1:])
-        assert started == [[(-1.0, 2.0)]]
 
-    def test_initial_panels_converged_start_no_loop(self, monkeypatch):
-        # several initial panels, split at breakpoints, that meet the tolerance
-        started = self.counting_loops(monkeypatch)
+    def test_initial_panels_converged_start_no_loop(self):
+        # several initial panels, split at breakpoints, that meet the
+        # tolerance: the first round is the only one
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return x * x
+
         domain = {"singular": (0.5,), "resonances": ((0.7, 0.01),)}
-        r = integrate(lambda x: x * x, 0.0, 1.0, **domain)
+        r = integrate(f, 0.0, 1.0, **domain)
         n_panels = len(_breakpoints(0.0, 1.0, **domain)) - 1
         assert n_panels > 2 and r.evaluations == 15 * n_panels and r.converged
+        assert sizes == [15 * n_panels]
         assert bits(r) == bits(per_panel(lambda x: x * x, 0.0, 1.0, **domain))
-        assert started == []
 
     @pytest.mark.parametrize("a, b, text", [
         (1.0, 0.0, "integration limits must satisfy a <= b"),
@@ -284,11 +273,12 @@ class TestFirstRound:
 
 
 def per_panel(f, a, b, cfg=None, **domain):
-    """integrate() as one bisection per round, panel by panel, and without
-    running sums: f gets one panel's 15 abscissae per call, each round's
-    values are checked in panel order once its calls are made, each panel is
-    reduced alone, and the heap is re-summed on every step.  Apart from
-    _breakpoints it shares no code with the adaptive loop."""
+    """integrate()'s round rule, panel by panel and without running sums: f
+    gets one panel's 15 abscissae per call, each round's values are checked
+    in round order once its calls are made, each panel is reduced alone,
+    and the panels are ranked and fsummed again every round, the tolerance
+    taken from the round's start.  Apart from _breakpoints it shares no code
+    with the driver."""
     cfg = cfg or QuadratureConfig()
 
     def reduce(bounds):
@@ -298,30 +288,32 @@ def per_panel(f, a, b, cfg=None, **domain):
             if not np.isfinite(fv).all():
                 x_bad = float(row[int(np.argmin(np.isfinite(fv)))])
                 raise IntegrandError(f"non-finite integrand value at x = {x_bad!r}")
-        return [(-err, lo, hi, value, err) for (lo, hi), (value, err) in
-                zip(bounds, (panel_reference(fv, 0.5 * (hi - lo))
-                             for fv, (lo, hi) in zip(fvs, bounds)))]
+        return [(lo, hi, *panel_reference(fv, 0.5 * (hi - lo)))
+                for (lo, hi), fv in zip(bounds, fvs)]
 
     pts = _breakpoints(a, b, **domain)
-    heap = reduce(list(zip(pts[:-1], pts[1:])))
-    heapq.heapify(heap)
-    subdivisions = 0
+    panels = reduce(list(zip(pts[:-1], pts[1:])))
+    evaluations, left = 15 * len(panels), cfg.max_subdivisions
     while True:
-        total = math.fsum(item[3] for item in heap)
-        total_err = math.fsum(item[4] for item in heap)
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            converged = True
-            break
-        _neg_err, lo, hi, _value, _err = heap[0]
-        mid = 0.5 * (lo + hi)
-        if subdivisions >= cfg.max_subdivisions or not lo < mid < hi:
-            converged = False
-            break
-        heapq.heappop(heap)
-        for item in reduce([(lo, mid), (mid, hi)]):
-            heapq.heappush(heap, item)
-        subdivisions += 1
-    return IntegralResult(total, total_err, 15 * (len(pts) - 1 + 2 * subdivisions), converged)
+        total = math.fsum(value for _lo, _hi, value, _err in panels)
+        total_err = math.fsum(err for _lo, _hi, _value, err in panels)
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        if total_err <= tol:
+            return IntegralResult(total, total_err, evaluations, True)
+        # the panel of largest error, then each next one whose error is
+        # above tol, up to the cap and short of machine resolution
+        bisected = []
+        for lo, hi, _value, err in sorted(panels, key=lambda p: (-p[3], p[0], p[1])):
+            if len(bisected) == left or (bisected and err <= tol) or not lo < 0.5 * (lo + hi) < hi:
+                break
+            bisected.append((lo, hi))
+        if not bisected:
+            return IntegralResult(total, total_err, evaluations, False)
+        panels = [p for p in panels if p[:2] not in bisected]
+        panels += reduce([half for lo, hi in bisected
+                          for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))])
+        evaluations += 30 * len(bisected)
+        left -= len(bisected)
 
 
 class TestOneCallPerRound:
@@ -403,9 +395,9 @@ class TestOneCallPerRound:
 
 
 class TestLookAhead:
-    """A round bisects every panel the loop must still bisect: no evaluation
-    is wasted on the observables' integrals, and a round that fails falls
-    back to one bisection, giving the result or the failure of per_panel."""
+    """A round bisects every panel above the tolerance: no evaluation is
+    wasted, and a round that fails raises its first failure, as per_panel
+    does."""
 
     @pytest.mark.parametrize("M, t", [(1.0, 40.0), (0.999 * math.pi, 25.0), (4.0, 10.0)],
                              ids=["above threshold", "near threshold", "below threshold"])
@@ -465,49 +457,34 @@ class TestLookAhead:
         return g
 
     @pytest.mark.parametrize("how", ["nan", "raises"])
-    def test_failure_on_panel_looked_ahead(self, how):
-        # the halves of the first panel looked ahead for fail: the round is
-        # asked again without them, and the loop fails where per_panel does,
-        # when it bisects that panel
-        def f(x):
-            return np.sin(40.0 * x) / ((x - 0.3) ** 2 + 1e-5)
-
-        domain = {"singular": (0.5,), "resonances": ((1.2, 0.05),)}
-        _r, calls = self.sampled(integrate, f, -1.0, 2.0, **domain)
-        ahead = next(x for x in calls[1:] if x.size > 30)[30:60]
-        error = IntegrandError if how == "nan" else ValueError
-        hits = [0]
-        with pytest.raises(error) as rounds:
-            integrate(self.failing_on(f, ahead, how, hits), -1.0, 2.0, **domain)
-        assert hits == [2]
-        with pytest.raises(error) as panels:
-            per_panel(self.failing_on(f, ahead, how, hits), -1.0, 2.0, **domain)
-        assert str(rounds.value) == str(panels.value)
-
-    @pytest.mark.parametrize("how", ["nan", "raises"])
     def test_failure_on_panel_never_bisected(self, how):
-        # |total| grows past the error of a panel looked ahead for, so
-        # per_panel converges without sampling it; failing there changes
-        # nothing but the one round that is asked again
+        # |total| grows within a round past the error of one panel the round
+        # bisects, so one bisection per round would have converged without
+        # it (at 405 evaluations); the round rule bisects it.  A failure on
+        # any panel of a round of several is raised at once, from the first
+        # failing abscissa in round order, as per_panel raises it
         def f(x):
             return 1e2 / ((x - 0.71) ** 2 + 1e-6) + np.sin(50.0 * x)
 
         cfg = QuadratureConfig(rel_tol=1e-6)
-        got, mine = self.sampled(integrate, f, 0.0, 1.0, cfg)
-        want, theirs = self.sampled(per_panel, f, 0.0, 1.0, cfg)
-        unused = np.setdiff1d(np.concatenate(mine), np.concatenate(theirs))
-        assert unused.size == 30 and bits(got) == bits(want)
-        hits = [0]
-        bad = self.failing_on(f, unused, how, hits)
-        assert bits(integrate(bad, 0.0, 1.0, cfg)) == bits(want)
-        assert hits == [1]
-        assert bits(per_panel(bad, 0.0, 1.0, cfg)) == bits(want)
-        # in lockstep, the failed round is asked again of every integral
-        def other(x):
-            return np.sin(40.0 * x) / ((x - 0.3) ** 2 + 1e-5)
-
-        rows = integrate_rows(TestLockstep.rows_of([other, bad]), [(0.0, 1.0)] * 2, cfg)
-        assert [bits(r) for r in rows] == [bits(integrate(other, 0.0, 1.0, cfg)), bits(want)]
+        got, calls = self.sampled(integrate, f, 0.0, 1.0, cfg)
+        assert bits(got) == bits(per_panel(f, 0.0, 1.0, cfg))
+        assert got.evaluations == sum(x.size for x in calls) == 435
+        error = IntegrandError if how == "nan" else ValueError
+        several = [x for x in calls[1:] if x.size > 30]
+        assert len(several) >= 3
+        for x in several:
+            for k in range(0, x.size, 30):
+                # this panel's halves and the round's last panel's fail
+                bad = np.concatenate([x[k:k + 30], x[-30:]])
+                hits = [0]
+                with pytest.raises(error) as rounds:
+                    integrate(self.failing_on(f, bad, how, hits), 0.0, 1.0, cfg)
+                assert hits == [1]
+                assert str(rounds.value).endswith(f"x = {float(x[k])!r}")
+                with pytest.raises(error) as panels:
+                    per_panel(self.failing_on(f, bad, how, hits), 0.0, 1.0, cfg)
+                assert str(rounds.value) == str(panels.value)
 
 
 class TestResonant:
