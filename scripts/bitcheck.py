@@ -34,7 +34,10 @@ cannot share one process.  Both run:
   alpha sweep of the accelerated rate, a t_or_tau sweep of the accelerated
   and of the stationary probability, and the README's deviation sweep.
 
-Prints what was compared and exits 1 on any difference.  It also prints,
+Prints what was compared and exits 1 on any difference.  For each ops item
+it also prints how many ops changed their failure name (passing counts as
+one), and its last line gives both totals, so that a change that moves last
+bits can show that its failures did not move.  It also prints,
 without comparing them, the integrand calls (quadrature rounds) of the
 stationary probability at t = 200 and of the accelerated one at tau = 5,
 so that a change to the rounds shows beside equal evaluations.  For every item
@@ -220,12 +223,14 @@ def move(a, b) -> float:
     return relative if relative == relative else float("inf")
 
 
-def compare(mine: dict, theirs: dict) -> int:
-    """Prints one line per compared item; returns the number of differences."""
-    differences = 0
+def compare(mine: dict, theirs: dict) -> tuple[int, int]:
+    """Prints one line per compared item; returns the number of differences
+    and, among the ops, the number whose failure name changed."""
+    differences = failure_changes = 0
     for key, ops in mine["ops"].items():
         other = theirs["ops"][key]
         differ = sum(a != b for a, b in zip(ops, other)) + abs(len(ops) - len(other))
+        changed = sum(a[1] != b[1] for a, b in zip(ops, other))
         n_values = sum(len(values) for values, _failure in ops)
         failed = sum(failure is not None for _values, failure in ops)
         line = f"{key}: {len(ops)} ops ({n_values} values, {failed} failed), {differ} differ"
@@ -236,7 +241,9 @@ def compare(mine: dict, theirs: dict) -> int:
             estimates = max(move(a[1:2], b[1:2]) for a, b in pairs)
             line += f"; largest move: values {values:.2e}, estimates {estimates:.2e}"
         print(line)
+        print(f"  {key}: {changed} ops changed their failure name")
         differences += differ
+        failure_changes += changed
     for key, steps in mine["evaluations"].items():
         differ = sum(a != b for a, b in zip(steps, theirs["evaluations"][key]))
         print(f"{key}: {len(steps)} ops (evaluations, converged), {differ} differ")
@@ -254,7 +261,7 @@ def compare(mine: dict, theirs: dict) -> int:
     for name, counts in mine["calls"].items():
         print(f"{name}: integrand calls " + ", ".join(
             f"{fn} {n} (against {theirs['calls'][name][fn]})" for fn, n in counts.items()))
-    return differences
+    return differences, failure_changes
 
 
 def main(argv=None) -> int:
@@ -268,9 +275,9 @@ def main(argv=None) -> int:
         return 0
     if args.against is None:
         parser.error("--against is required")
-    differences = compare(run_checkout(ROOT, args.seeds),
-                          run_checkout(args.against.resolve(), args.seeds))
-    print(f"bitcheck: {differences} differences")
+    differences, failure_changes = compare(run_checkout(ROOT, args.seeds),
+                                           run_checkout(args.against.resolve(), args.seeds))
+    print(f"bitcheck: {differences} differences, {failure_changes} failure changes")
     return 1 if differences else 0
 
 

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import loggamma
 
 from .core import DecayResult, FieldParams, REGIME_LONG, classify_regime
 from .errors import UndefinedRatioError
@@ -42,7 +41,7 @@ from .quadrature import QuadratureConfig, integrate, integrate_rows, truncation_
 # bessel_k_scaled_values is not called here, but perfbench's traced run
 # wraps it under this module's name
 from .specialfn import (bessel_k_imag_order_log, bessel_k_scaled_rows,
-                        bessel_k_scaled_values, resonance_kernel)
+                        bessel_k_scaled_values, log_gamma_one_plus_i, resonance_kernel)
 from .stationary import decay_rate_stationary_longtime
 
 DEFAULT_AVG_RELATIVE_HALFWIDTH = 0.05
@@ -84,9 +83,10 @@ def rindler_mode_spatial(Omega: float, xi: float, M: float, alpha: float) -> com
     nu = Omega / alpha
     z = (M / alpha) * math.exp(alpha * xi)
     kv = bessel_k_imag_order_log(nu, z)
-    lg = loggamma(complex(0.0, nu))
-    log_mod = kv.log_abs - lg.real - 0.5 * math.log(math.pi * Omega)
-    phase = 0.5 * nu * math.log(0.5 * M / alpha) - lg.imag
+    # log Gamma(i nu) = log Gamma(1 + i nu) - ln nu - i pi/2
+    lg = complex(log_gamma_one_plus_i(nu))
+    log_mod = kv.log_abs - (lg.real - math.log(nu)) - 0.5 * math.log(math.pi * Omega)
+    phase = 0.5 * nu * math.log(0.5 * M / alpha) - (lg.imag - 0.5 * math.pi)
     return kv.sign * math.exp(log_mod) * complex(math.cos(phase), math.sin(phase))
 
 

@@ -196,9 +196,10 @@ def _abscissae(bounds) -> tuple[np.ndarray, list[float]]:
 def _drive(evaluate: Callable, starts: list[list[tuple[float, float]]],
            cfg: QuadratureConfig) -> list[IntegralResult]:
     """The quadratures of integrals whose initial panels have the bounds
-    starts[i], in rounds: evaluate(ids, xs) returns the checked values at the
-    (panels x 15) abscissae xs that the running integrals ask for, ids[p]
-    naming the integral of panel p, in id order.  No panels: 0, no evaluation."""
+    starts[i], in rounds: evaluate(asked, xs) returns the checked values at
+    the (panels x 15) abscissae xs that the running integrals ask for, asked
+    mapping each of them, in id order, to the bounds of its panels there.
+    No panels: 0, no evaluation."""
     unit = 1 << 1074
     results = [IntegralResult(0.0, 0.0, 0, True)] * len(starts)
     # integral -> [heap of (-err, lo, hi, value, err), values, errors, evaluations,
@@ -206,9 +207,8 @@ def _drive(evaluate: Callable, starts: list[list[tuple[float, float]]],
     state = {i: [[], 0, 0, 0, cfg.max_subdivisions] for i, bounds in enumerate(starts) if bounds}
     asked = {i: starts[i] for i in state}
     while asked:
-        counts = [len(bounds) for bounds in asked.values()]
         xs, half = _abscissae([p for bounds in asked.values() for p in bounds])
-        panels = iter(_panels(evaluate(np.repeat(list(asked), counts), xs), half))
+        panels = iter(_panels(evaluate(asked, xs), half))
         running = {}
         for i, bounds in asked.items():
             heap, values, errors, evaluations, left = state[i]
@@ -265,7 +265,7 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
     first.  f must return one value per abscissa (ValueError otherwise); a
     call that raises or gives a non-finite value ends the integral with it.
     """
-    def evaluate(_ids, xs):
+    def evaluate(_asked, xs):
         flat = xs.ravel()
         return _round_values(f(flat), flat).reshape(xs.shape)
 
@@ -282,8 +282,12 @@ def integrate_rows(f: Callable, intervals, cfg: QuadratureConfig | None = None) 
     integrate()'s rounds, so its result is integrate()'s whenever f's value
     at a panel does not depend on the other panels.  A failing round raises
     its first failure in panel order."""
-    return _drive(lambda ids, xs: _round_values(f(ids, xs), xs),
-                  [_initial_bounds(a, b) for a, b in intervals], cfg or QuadratureConfig())
+    def evaluate(asked, xs):
+        ids = np.repeat(list(asked), [len(bounds) for bounds in asked.values()])
+        return _round_values(f(ids, xs), xs)
+
+    return _drive(evaluate, [_initial_bounds(a, b) for a, b in intervals],
+                  cfg or QuadratureConfig())
 
 
 def truncation_point(tail_bound: Callable[[float], float], start: float,

@@ -299,3 +299,11 @@ class TestSubprocessEntry:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+    def test_imports_load_no_scipy(self):
+        proc = subprocess.run([sys.executable, "-c",
+                               "import sys, cavityclock, cavityclock.cli; "
+                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -12,7 +12,7 @@ from cavityclock.specialfn import (_BAND, _CKJ, _DEBYE_TERMS, DEFAULT_BESSEL_TOL
                                    _series_rows, _term_table,
                                    bessel_k_imag_order, bessel_k_imag_order_log,
                                    bessel_k_scaled_rows, bessel_k_scaled_values,
-                                   gamma_abs_sq_imag, resonance_kernel)
+                                   gamma_abs_sq_imag, log_gamma_one_plus_i, resonance_kernel)
 
 mp = pytest.importorskip("mpmath")
 
@@ -301,7 +301,7 @@ class TestScalarFrontEnd:
 def series_setup(nu):
     """The power series' first phase, arg 1/Gamma(1 + i nu), and the log of
     its scaled prefactor, sqrt(2 pi / (nu (1 - e^{-2 pi nu})))."""
-    theta0 = -loggamma(complex(1.0, nu)).imag
+    theta0 = -float(log_gamma_one_plus_i(nu).imag)
     lpref = 0.5 * (math.log(2.0 * math.pi) - math.log(nu)
                    - math.log1p(-math.exp(-2.0 * math.pi * nu)))
     return theta0, lpref
@@ -645,6 +645,50 @@ class TestGammaAbsSq:
             gamma_abs_sq_imag(0.0)
         with pytest.raises(ValueError):
             gamma_abs_sq_imag(-1.0)
+
+
+class TestLogGammaOnePlusI:
+    """log Gamma(1 + i nu): its phase starts the power series, its modulus
+    enters the Rindler mode."""
+
+    # from 1e-8 to 1e5, and where scipy's loggamma changes method: its Taylor
+    # series around 1 reaches nu = 0.2, its asymptotic series starts at 7
+    NUS = np.concatenate([np.geomspace(1e-8, 1e5, 301),
+                          [0.2 - 1e-9, 0.2, 0.2 + 1e-9, 7.0 - 1e-9, 7.0, 7.0 + 1e-9]])
+
+    @staticmethod
+    def phase_scale(nu):
+        """The rounding the phase's terms carry: eps (nu |ln nu| + nu + 1)."""
+        return np.finfo(float).eps * (nu * np.abs(np.log(nu)) + nu + 1.0)
+
+    def test_against_mpmath(self):
+        mp.mp.dps = 30
+        lg = log_gamma_one_plus_i(self.NUS)
+        for nu, z in zip(self.NUS, lg):
+            ref = mp.loggamma(mp.mpc(1, nu))
+            assert abs(z.imag - float(ref.imag)) <= 4.0 * self.phase_scale(nu), nu
+            assert z.real == pytest.approx(float(ref.real), rel=2e-15), nu
+
+    def test_against_scipy(self):
+        # both within 2 phase scales of the exact phase (test_against_mpmath)
+        ref = loggamma(1.0 + 1j * self.NUS)
+        lg = log_gamma_one_plus_i(self.NUS)
+        assert np.all(np.abs(lg.imag - ref.imag) <= 4.0 * self.phase_scale(self.NUS))
+        np.testing.assert_allclose(lg.real, ref.real, rtol=1e-12, atol=0.0)
+
+    def test_same_bits_alone_and_in_a_call(self):
+        rng = np.random.default_rng(24)
+        nus = np.concatenate([rng.uniform(1e-8, 60.0, 150), np.geomspace(1e-8, 1e5, 150)])
+        together = log_gamma_one_plus_i(nus)
+        for nu, z in zip(nus, together):
+            assert log_gamma_one_plus_i(nu).tobytes() == z.tobytes(), nu
+            assert log_gamma_one_plus_i(np.array([nu]))[0].tobytes() == z.tobytes(), nu
+
+    def test_domain(self):
+        assert log_gamma_one_plus_i(0.0) == 0.0
+        assert log_gamma_one_plus_i([[1.0, 2.0]]).shape == (1, 2)
+        with pytest.raises(ValueError):
+            log_gamma_one_plus_i(np.array([1.0, -1.0]))
 
 
 class TestResonanceKernel:
