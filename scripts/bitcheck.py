@@ -21,9 +21,11 @@ cannot share one process.  Both run:
   probability (l = 1, M = 1, t = 200);
 * one bessel_k_scaled_rows call, values and per-row worst estimates as
   float.hex, on one Kronrod panel per row at mixed orders: the K_0 and
-  power series rows from 4 to 62 terms, oscillatory Debye, the contour
-  rule beyond the series, in the turning band at nu = 150, 500 and 2000,
-  and far above the order, where the scaled values underflow;
+  power series rows from 4 to 62 terms (among them one order at rising,
+  falling and repeated arguments, and rows that end on either side of a
+  16-term block's edge), oscillatory Debye, the contour rule beyond the
+  series, in the turning band at nu = 150, 500 and 2000, and far above the
+  order, where the scaled values underflow;
 * the worst value of each verify check (criteria 1-4 and 8), which runs the
   scalar Bessel front end, and criterion 11's proper times (value and error
   estimate), which run integrate() outside the observables;
@@ -68,11 +70,21 @@ KERNEL_ROWS = [
     (40.0, (2.0, 35.0)),           # series, 43 terms
     (59.9, (20.0, 59.0)),          # series, 62 terms
     (30.0, (1.0, 29.9)),           # series, 41 terms
+    # one order at rising, falling and repeated ranges, whose rows end in
+    # the first and the second 16-term block of the series
+    (6.15, (0.01, 0.1)),           # series, 5 terms
+    (6.15, (0.5, 3.0)),            # series, 13 terms
+    (6.15, (2.0, 8.5)),            # series, 22 terms
+    (6.15, (2.0, 8.5)),            # series, 22 terms
+    (6.15, (0.5, 3.0)),            # series, 13 terms
+    (6.15, (0.01, 0.1)),           # series, 5 terms
+    (6.15, (1.0, 4.6)),            # series, 16 terms: ends on the first block's last term
+    (6.15, (1.0, 5.2)),            # series, 17 terms: ends on the second block's first term
     (150.0, (10.0, 110.0)),        # oscillatory Debye, contour rule above x = 102
     (2.0, (3.0, 9.0)),             # series and contour rule
     (150.0, (149.8, 149.99)),      # turning band, contour rule
     (500.0, (470.0, 530.0)),       # turning band across x = nu, contour rule
-    (2000.0, (1999.98, 1999.999)),  # turning band, contour rule (the series met its cap)
+    (2000.0, (1999.98, 1999.999)),  # turning band, contour rule
     (2.0, (700.0, 900.0)),         # x >> nu, contour rule, values underflow
 ]
 SWEEPS = {

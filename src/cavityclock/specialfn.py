@@ -103,8 +103,7 @@ class BesselEval:
     method: BesselMethod
 
 
-# terms per block of the series table (_term_table) and of the batched
-# series (_series_rows)
+# terms per block of the batched series (_series_rows)
 _SERIES_BLOCK = 16
 
 
@@ -137,67 +136,6 @@ def _k0_rows(nu: np.ndarray, x: np.ndarray, k0: np.ndarray,
 _SERIES_CAP = 600
 
 
-def _term_table(nu: np.ndarray, qmax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (term x row) divisors d_k = k |k + i nu| and phases th_k of the
-    rearranged series at the orders nu, each row up to its first k > 3
-    whose r_k = prod_{j<=k} qmax / d_j is below 1e-17 (the row's largest
-    q = x^2/4 fixes its last term); and whether that k came before the
-    _SERIES_CAP-term cap.  Past a row's last term its divisors are inf and
-    its phases 0, so its terms there are exact zeros.
-
-    The table grows _SERIES_BLOCK terms at a time for the rows still
-    running, carrying their r_k and phases into the next block as its first
-    row.  The entries come from math.hypot and math.atan2 (numpy's differ
-    in the last bit; atan2 only up to each row's last term), and cumulative
-    products and sums along the term axis keep the order of the recurrence,
-    so each row gets the bits of its own scalar recurrence."""
-    stop = np.full(nu.size, _SERIES_CAP - 1)
-    done = np.zeros(nu.size, dtype=bool)
-    live = np.arange(nu.size)
-    r = np.ones(nu.size)
-    th = -_arg_gamma_one_plus_i(nu)  # th_0 = arg 1/Gamma(1 + i nu)
-    divisors, phases = [], [th[None, :]]
-    for k0 in range(1, _SERIES_CAP, _SERIES_BLOCK):
-        ks = np.arange(k0, min(k0 + _SERIES_BLOCK, _SERIES_CAP), dtype=float)
-        m = ks.size
-        k_flat = np.repeat(ks, live.size)
-        nu_flat = np.tile(nu[live], m)
-        d = ks[:, None] * np.fromiter(map(math.hypot, k_flat.tolist(), nu_flat.tolist()),
-                                      float, k_flat.size).reshape(m, live.size)
-        rb = np.empty((m + 1, live.size))
-        rb[0] = r
-        np.divide(qmax[live], d, out=rb[1:])
-        np.multiply.accumulate(rb, axis=0, out=rb)
-        hit = (rb[1:] < 1e-17) & (ks > 3)[:, None]
-        ends = hit.any(axis=0)
-        stop[live[ends]] = k0 + hit.argmax(axis=0)[ends]
-        done[live[ends]] = True
-        # the phases only up to each row's last term; those past it are zeroed below
-        need = (ks[:, None] <= stop[live]).ravel()
-        at = np.zeros(k_flat.size)
-        at[need] = np.fromiter(map(math.atan2, nu_flat[need].tolist(), k_flat[need].tolist()),
-                               float, int(np.count_nonzero(need)))
-        tb = np.empty((m + 1, live.size))
-        tb[0] = th
-        np.negative(at.reshape(m, live.size), out=tb[1:])
-        np.add.accumulate(tb, axis=0, out=tb)
-        d_block = np.full((m, nu.size), np.inf)
-        d_block[:, live] = d
-        th_block = np.zeros((m, nu.size))
-        th_block[:, live] = tb[1:]
-        divisors.append(d_block)
-        phases.append(th_block)
-        live, r, th = live[~ends], rb[m, ~ends], tb[m, ~ends]
-        if not live.size:
-            break
-    n_terms = int(stop.max())
-    past = np.arange(1, n_terms + 1)[:, None] > stop
-    div = np.where(past, np.inf, np.concatenate(divisors)[:n_terms])
-    pha = np.concatenate(phases)[:n_terms + 1]
-    pha[1:][past] = 0.0
-    return div, pha, done
-
-
 def _row_groups(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows holding points of the 2-D mask, and where each row's points
     start in x[mask] and how many there are."""
@@ -215,36 +153,56 @@ def _row_max(values: np.ndarray, ids: np.ndarray, starts: np.ndarray,
 
 def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
                  out: np.ndarray, worst: np.ndarray) -> None:
-    """The power series at the points ser of x, each row at its own order."""
+    """The power series at the points ser of x, each row at its own order:
+    e^{pi nu/2} K = -s(nu) sum_k r_k sin(nu ln(x/2) + th_k), with q = x^2/4,
+    r_k = prod_{j<=k} q / d_j, d_k = k |k + i nu|, th_0 = arg 1/Gamma(1 + i nu)
+    and th_k = th_{k-1} - atan2(nu, k).  Each pass of one loop builds the next
+    _SERIES_BLOCK divisors and phases of the rows still running and sums them
+    into the points.  A row's last term is its first k > 3 whose r_k at its
+    largest q is below 1e-17 (or the cap, flagged inf); past it its divisors
+    are inf, so its terms are exact zeros.  The entries come from math.hypot
+    and math.atan2 (numpy's differ in the last bit), and products and sums
+    run cumulatively along the term axis, each block carrying them into the
+    next as its first row (a sum along an axis may be reduced pairwise), so
+    each row gets the bits of its own scalar recurrence."""
     ids, starts, counts = _row_groups(ser)
     group = np.repeat(np.arange(ids.size), counts)
     xs = x[ser]
     q = 0.25 * xs * xs
     orders = nu[ids]
-    div, pha, done = _term_table(orders, np.maximum.reduceat(q, starts))
-    # cut off at the term cap (nu >~ 900 near x = nu; the row kernel sends no order >= 60 here)
-    worst[ids[~done]] = math.inf
-    n_terms = pha.shape[0]
+    qmax = np.maximum.reduceat(q, starts)
     phi = orders[group] * np.log(0.5 * xs)
-    # term x point, in blocks of terms that carry the running product and
-    # sums from one block to the next as their first row: cumulative
-    # products and sums along the term axis keep the order of the
-    # term-by-term recurrence (a sum along an axis may be reduced pairwise),
-    # and the blocks bound the arrays however many points share the call
-    total = np.sin(phi + pha[0, group])
+    th = -_arg_gamma_one_plus_i(orders)
+    total = np.sin(phi + th[group])
     abssum = r_last = np.ones(xs.size)  # r_0 = 1
-    size = min(_SERIES_BLOCK, n_terms - 1)
-    r = np.empty((size + 1, xs.size))
-    t = np.empty((size + 1, xs.size))
-    for k in range(1, n_terms, size):
-        m = min(size, n_terms - k)
+    # each row's r_k at its qmax, and its last term (the cap while running)
+    r_top, stop = np.ones(ids.size), np.full(ids.size, _SERIES_CAP)
+    r, t = np.empty((2, _SERIES_BLOCK + 1, xs.size))
+    for k0 in range(1, _SERIES_CAP, _SERIES_BLOCK):
+        ks = np.arange(k0, min(k0 + _SERIES_BLOCK, _SERIES_CAP), dtype=float)[:, None]
+        kk, nn = np.repeat(ks, ids.size, axis=1), np.tile(orders, (ks.size, 1))
+        run = np.repeat([stop == _SERIES_CAP], ks.size, axis=0)
+        d = np.full(kk.shape, np.inf)
+        d[run] = kk[run] * np.fromiter(map(math.hypot, kk[run].tolist(), nn[run].tolist()), float)
+        rt = np.multiply.accumulate(np.vstack([r_top, qmax / d]), axis=0)
+        hit = (rt[1:] < 1e-17) & (ks > 3) & run
+        stop = np.where(hit.any(axis=0), k0 + hit.argmax(axis=0), stop)
+        # the phases only up to each row's last term
+        past = ks > stop
+        at = np.zeros(kk.shape)
+        at[~past] = np.fromiter(map(math.atan2, nn[~past].tolist(), kk[~past].tolist()), float)
+        tt = np.add.accumulate(np.vstack([th, -at]), axis=0)
+        d[past], tt[1:][past] = np.inf, 0.0
+        r_top, th = rt[-1], tt[-1]
+        # the block at every point, up to the last term of any row in it
+        m = min(ks.size, int(stop.max()) - k0 + 1)
         rb, tb = r[:m + 1], t[:m + 1]
         rb[0] = r_last
-        np.take(div[k - 1:k - 1 + m], group, axis=1, out=rb[1:], mode="clip")
+        np.take(d[:m], group, axis=1, out=rb[1:], mode="clip")
         np.divide(q, rb[1:], out=rb[1:])
         np.multiply.accumulate(rb, axis=0, out=rb)
         r_last = rb[m].copy()
-        np.take(pha[k:k + m], group, axis=1, out=tb[1:], mode="clip")
+        np.take(tt[1:m + 1], group, axis=1, out=tb[1:], mode="clip")
         tb[1:] += phi
         np.sin(tb[1:], out=tb[1:])
         tb[1:] *= rb[1:]
@@ -252,6 +210,10 @@ def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
         total = np.add.accumulate(tb, axis=0, out=tb)[m].copy()
         rb[0] = abssum
         abssum = np.add.accumulate(rb, axis=0, out=rb)[m].copy()
+        if stop.max() < _SERIES_CAP:
+            break
+    # the rows cut off at the cap (nu >~ 900 near x = nu; the row kernel sends no order >= 60 here)
+    worst[ids[stop == _SERIES_CAP]] = math.inf
     # the scaled prefactor -sqrt(2 pi / (nu (1 - e^{-2 pi nu})))
     scale = np.array([-math.exp(0.5 * (math.log(2.0 * math.pi) - math.log(n)
                                        - math.log1p(-math.exp(-2.0 * math.pi * n))))

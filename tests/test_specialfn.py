@@ -9,7 +9,7 @@ from cavityclock.errors import SpecialFunctionRangeError
 from cavityclock.quadrature import _NODES
 from cavityclock.specialfn import (_BAND, _CKJ, _DEBYE_TERMS, DEFAULT_BESSEL_TOL, BesselMethod,
                                    _contour_rows, _debye_oscillatory_rows, _k0_rows,
-                                   _series_rows, _term_table,
+                                   _series_rows,
                                    bessel_k_imag_order, bessel_k_imag_order_log,
                                    bessel_k_scaled_rows, bessel_k_scaled_values,
                                    gamma_abs_sq_imag, log_gamma_one_plus_i, resonance_kernel)
@@ -368,8 +368,9 @@ class TestBatchedMatchesPerTermLoops:
 
 
 def series_terms_reference(nu, qmax):
-    """One row of _term_table as its own scalar recurrence: the divisors and
-    phases up to the row's last term, and whether that came before the cap."""
+    """The divisors and phases of one row of _series_rows as its own scalar
+    recurrence, up to the row's last term, and whether that came before the
+    cap."""
     th, _lpref = series_setup(nu)
     r_top = 1.0
     divisors, phases = [], [th]
@@ -417,25 +418,15 @@ SERIES_ROWS = [
 
 
 class TestSeriesTable:
-    """_term_table builds every row's terms in one call, and each row gets
-    the bits of its own recurrence from k = 1, whatever the other rows hold."""
+    """_series_rows builds and sums every row's terms block by block in one
+    call, and each row gets the bits of its own recurrence from k = 1,
+    whatever the other rows hold."""
 
     @staticmethod
-    def check_table(orders, qmaxes):
-        div, pha, done = _term_table(np.array(orders), np.array(qmaxes))
-        assert div.shape[1] == pha.shape[1] == len(orders) and pha.shape[0] == div.shape[0] + 1
-        lengths = []
-        for i, (nu, qmax) in enumerate(zip(orders, qmaxes)):
-            divisors, phases, row_done = series_terms_reference(nu, qmax)
-            n = divisors.size
-            assert div[:n, i].tobytes() == divisors.tobytes()
-            assert pha[:n + 1, i].tobytes() == phases.tobytes()
-            # past its last term a row adds exact zeros
-            assert np.all(div[n:, i] == np.inf) and np.all(pha[n + 1:, i] == 0.0)
-            assert done[i] == row_done
-            lengths.append(n)
-        assert div.shape[0] == max(lengths)
-        return lengths
+    def lengths(rows):
+        """Each row's last term, from its own recurrence."""
+        return [series_terms_reference(nu, 0.25 * float(xs.max()) ** 2)[0].size
+                for nu, xs in rows]
 
     @staticmethod
     def check_rows(rows):
@@ -451,9 +442,7 @@ class TestSeriesTable:
         return worst
 
     def test_mixed_orders_in_one_call(self):
-        lengths = self.check_table([n for n, _xs in SERIES_ROWS],
-                                   [0.25 * float(xs.max()) ** 2 for _n, xs in SERIES_ROWS])
-        assert lengths == [4, 21, 43, 14, 54, 599]
+        assert self.lengths(SERIES_ROWS) == [4, 21, 43, 14, 54, 599]
         worst = self.check_rows(SERIES_ROWS)
         assert worst[-1] == math.inf and np.all(np.isfinite(worst[:-1]))
 
@@ -464,27 +453,44 @@ class TestSeriesTable:
 
     def test_rising_falling_repeated(self):
         # one order at rising, falling and repeated arguments, as rows of one
-        # call: each row stops at its own last term
-        qmaxes = [1e-3, 0.5, 10.0, 200.0, 200.0, 10.0, 1e-3, 0.5, 900.0, 900.0, 30.0]
-        lengths = self.check_table([6.15] * len(qmaxes), qmaxes)
+        # call: each row stops at its own last term, in the first to the
+        # fourth block, or on either side of the first block's edge
+        tops = [0.06, 1.4, 6.3, 28.0, 28.0, 6.3, 0.06, 1.4, 60.0, 60.0, 11.0, 4.6, 5.2]
+        rows = [kronrod_row(6.15, 0.2 * top, top) for top in tops]
+        lengths = self.lengths(rows)
         assert lengths[:4] == sorted(lengths[:4]) and len(set(lengths)) > 4
+        assert max(lengths) > 48 and lengths[-2:] == [16, 17]
+        self.check_rows(rows)
 
     def test_random_orders_and_arguments(self):
         rng = np.random.default_rng(5)
         orders = rng.uniform(1e-6, 80.0, 12).tolist()
         for _ in range(20):
             size = int(rng.integers(1, 40))
-            self.check_table([orders[i] for i in rng.integers(len(orders), size=size)],
-                             (10.0 ** rng.uniform(-8.0, 3.0, size)).tolist())
+            tops = 2.0 * np.sqrt(10.0 ** rng.uniform(-8.0, 3.0, size))
+            self.check_rows([kronrod_row(orders[i], float(top) * rng.uniform(0.01, 1.0), float(top))
+                             for i, top in zip(rng.integers(len(orders), size=size), tops)])
 
     def test_term_cap(self):
-        # nu = 2000 near x = nu: r_k is still far above 1e-17 at the cap
-        # (at twice that argument r_k overflows to inf, as in the scalar recurrence)
-        qmax = 0.25 * 1999.0**2
-        with np.errstate(over="ignore"):
-            lengths = self.check_table([2000.0, 2000.0, 2000.0, 6.15],
-                                       [qmax, 1.0, 2.0 * qmax, 200.0])
-        assert lengths[0] == lengths[2] == 599 and lengths[1] < 599
+        # nu = 2000 near x = nu: r_k is still far above 1e-17 at the cap, so
+        # the row's estimate is inf; the rows beside it end on their own
+        rows = [SERIES_ROWS[-1], kronrod_row(2000.0, 1.0, 2.0), kronrod_row(6.15, 10.0, 28.0)]
+        assert self.lengths(rows)[0] == 599 and self.lengths(rows)[1] < 599
+        worst = self.check_rows(rows)
+        assert worst[0] == math.inf and np.all(np.isfinite(worst[1:]))
+        # at twice that argument r_k overflows to inf, as in the scalar
+        # recurrence, and the rows beside it keep their bits
+        far = (2000.0, math.sqrt(2.0) * SERIES_ROWS[-1][1])
+        rows = [far, rows[1], rows[2]]
+        assert self.lengths(rows)[0] == 599
+        out, worst = np.zeros((3, 15)), np.full(3, 1e-15)
+        with np.errstate(all="ignore"):
+            _series_rows(np.array([n for n, _xs in rows]), np.array([xs for _n, xs in rows]),
+                         np.ones((3, 15), dtype=bool), out, worst)
+        assert not np.isfinite(worst[0])
+        for i in (1, 2):
+            ref, ref_worst = series_row_reference(*rows[i])
+            assert out[i].tobytes() == ref.tobytes() and worst[i] == ref_worst
 
 
 def kronrod_panel(lo, hi):
