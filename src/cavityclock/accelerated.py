@@ -163,8 +163,8 @@ def decay_probability_accelerated(geometry: CavityGeometry, fields: FieldParams,
     alpha = geometry.alpha
     if alpha <= 0:
         raise ValueError("accelerated probability requires alpha > 0")
-    if tau < 0:
-        raise ValueError("proper duration tau must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("proper duration tau must be finite and nonnegative")
     M, lam = fields.M, fields.lam
     w1 = geometry.omega1
     regime = classify_regime(tau, w1)

@@ -109,12 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill unset values from the key=value config file; explicit flags win."""
+    """Fill unset values from the key=value config file; explicit flags win.
+    A boolean is 1/0, true/false or yes/no in any case; a value that does not
+    convert is refused, naming its key."""
     if getattr(args, "config", None) is None:
         return
+    booleans = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
     mapping = {"l": ("l", float), "mass": ("mass", float), "alpha": ("alpha", float),
                "lambda": ("lam", float), "time": ("time", float),
-               "rate": ("rate", lambda s: s.lower() in ("1", "true", "yes")),
+               "rate": ("rate", lambda s: booleans[s.lower()]),
                "rel-tol": ("rel_tol", float), "abs-tol": ("abs_tol", float),
                "avg-width": ("avg_width", float), "avg-samples": ("avg_samples", int),
                "sweep": ("sweep", str), "output": ("output", str)}
@@ -133,7 +136,10 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
                 continue
             dest, conv = mapping[key]
             if hasattr(args, dest):
-                setattr(args, dest, conv(raw))
+                try:
+                    setattr(args, dest, conv(raw))
+                except (KeyError, ValueError):
+                    raise ValueError(f"config key {key!r} has an invalid value {raw!r}") from None
 
 
 def _require(args: argparse.Namespace, names: list[str]) -> None:

@@ -7,7 +7,10 @@
 
   - power-series: the ascending series of I_{+-i nu} rearranged so every
     term is real with bounded trig factors, the 1/sinh(pi nu) prefactor
-    absorbed analytically; x < nu below order 60, and small x.
+    absorbed analytically; x < nu below order 60, and small x.  One pass
+    per block of terms builds the block's divisors and phases and adds it
+    into every point; the estimate counts the rounding of the sum and of
+    each sine's argument.
   - asymptotic: the oscillatory Debye form, x < nu from order 60 below the
     turning band |x - nu| < 9 nu^{1/3}; its u_k polynomials come exactly
     from the standard recurrence at import time.
@@ -164,7 +167,9 @@ def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
     and math.atan2 (numpy's differ in the last bit), and products and sums
     run cumulatively along the term axis, each block carrying them into the
     next as its first row (a sum along an axis may be reduced pairwise), so
-    each row gets the bits of its own scalar recurrence."""
+    each row gets the bits of its own scalar recurrence.  The estimate counts
+    the rounding of the sum and of each sine's argument a_k:
+    2 eps sum_k r_k (2 + |a_k|) / |sum|."""
     ids, starts, counts = _row_groups(ser)
     group = np.repeat(np.arange(ids.size), counts)
     xs = x[ser]
@@ -174,10 +179,11 @@ def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
     phi = orders[group] * np.log(0.5 * xs)
     th = -_arg_gamma_one_plus_i(orders)
     total = np.sin(phi + th[group])
-    abssum = r_last = np.ones(xs.size)  # r_0 = 1
+    bound = 2.0 + np.abs(phi + th[group])
     # each row's r_k at its qmax, and its last term (the cap while running)
     r_top, stop = np.ones(ids.size), np.full(ids.size, _SERIES_CAP)
-    r, t = np.empty((2, _SERIES_BLOCK + 1, xs.size))
+    r, t, u = np.empty((3, _SERIES_BLOCK + 1, xs.size))
+    r[0] = 1.0  # r_0, and then the r_k each block carries into the next
     for k0 in range(1, _SERIES_CAP, _SERIES_BLOCK):
         ks = np.arange(k0, min(k0 + _SERIES_BLOCK, _SERIES_CAP), dtype=float)[:, None]
         kk, nn = np.repeat(ks, ids.size, axis=1), np.tile(orders, (ks.size, 1))
@@ -196,20 +202,22 @@ def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
         r_top, th = rt[-1], tt[-1]
         # the block at every point, up to the last term of any row in it
         m = min(ks.size, int(stop.max()) - k0 + 1)
-        rb, tb = r[:m + 1], t[:m + 1]
-        rb[0] = r_last
+        rb, tb, ub = r[:m + 1], t[:m + 1], u[:m + 1]
         np.take(d[:m], group, axis=1, out=rb[1:], mode="clip")
         np.divide(q, rb[1:], out=rb[1:])
         np.multiply.accumulate(rb, axis=0, out=rb)
-        r_last = rb[m].copy()
         np.take(tt[1:m + 1], group, axis=1, out=tb[1:], mode="clip")
         tb[1:] += phi
-        np.sin(tb[1:], out=tb[1:])
+        np.sin(tb[1:], out=ub[1:])
+        ub[1:] *= rb[1:]
+        ub[0] = total
+        total = np.add.accumulate(ub, axis=0, out=ub)[m].copy()
+        np.abs(tb[1:], out=tb[1:])
+        tb[1:] += 2.0
         tb[1:] *= rb[1:]
-        tb[0] = total
-        total = np.add.accumulate(tb, axis=0, out=tb)[m].copy()
-        rb[0] = abssum
-        abssum = np.add.accumulate(rb, axis=0, out=rb)[m].copy()
+        tb[0] = bound
+        bound = np.add.accumulate(tb, axis=0, out=tb)[m].copy()
+        r[0] = r[m]
         if stop.max() < _SERIES_CAP:
             break
     # the rows cut off at the cap (nu >~ 900 near x = nu; the row kernel sends no order >= 60 here)
@@ -220,7 +228,7 @@ def _series_rows(nu: np.ndarray, x: np.ndarray, ser: np.ndarray,
                       for n in orders.tolist()])
     out[ser] = scale[group] * total
     denom = np.maximum(np.abs(total), 1e-300)
-    _row_max(4.0 * _EPS * abssum / denom, ids, starts, worst)
+    _row_max(2.0 * _EPS * bound / denom, ids, starts, worst)
 
 
 def _debye_oscillatory_rows(nu: np.ndarray, x: np.ndarray, osc: np.ndarray,

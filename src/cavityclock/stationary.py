@@ -64,8 +64,8 @@ def decay_probability_stationary(geometry: CavityGeometry, fields: FieldParams,
     """Finite-time decay probability of the resting clock (first order)."""
     if geometry.alpha != 0.0:
         raise ValueError("stationary probability requires a resting cavity (alpha = 0)")
-    if t < 0:
-        raise ValueError("duration t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("duration t must be finite and nonnegative")
     l, M, lam = geometry.l, fields.M, fields.lam
     regime = classify_regime(t, math.pi / l - M)
     if t == 0.0 or lam == 0.0:

@@ -190,6 +190,13 @@ class TestDecayProbability:
         with pytest.raises(ValueError):
             decay_probability_accelerated(G_HALF, FIELDS, -0.1)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_duration(self, tau):
+        # refused before any work: a NaN tail probe would double the Omega
+        # cutoff until truncation_point gives up
+        with pytest.raises(ValueError, match="finite"):
+            decay_probability_accelerated(G_HALF, FIELDS, tau)
+
     def test_lambda_scaling_exact(self):
         cfg = QuadratureConfig(rel_tol=1e-5, abs_tol=1e-8)
         p1 = decay_probability_accelerated(G_HALF, FieldParams(M=1.0, lam=1.0), 2.0, cfg)

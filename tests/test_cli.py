@@ -68,6 +68,14 @@ class TestRunPoint:
         assert code == EXIT_VALIDATION
         assert "--time" in err
 
+    @pytest.mark.parametrize("mode", ["stationary", "accelerated"])
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_non_finite_time_refused(self, mode, time):
+        alpha = ["--alpha", "0.5"] if mode == "accelerated" else []
+        code, out, err = run_cli([mode, "--l", "1", "--mass", "1", *alpha, "--time", time])
+        assert code == EXIT_VALIDATION and out == ""
+        assert "finite" in err
+
     def test_stationary_probability(self):
         code, out, _ = run_cli(["stationary", "--l", "1", "--mass", "1",
                                 "--time", "0.01"])
@@ -254,6 +262,25 @@ class TestConfigFile:
         cf.write_text("masss = 1\n")
         code, _, _ = run_cli(["stationary", "--l", "1", "--rate", "--config", str(cf)])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("raw, rate", [("1", True), ("TRUE", True), ("Yes", True),
+                                           ("0", False), ("false", False), ("NO", False)])
+    def test_boolean_values(self, tmp_path, raw, rate):
+        cf = tmp_path / "run.cfg"
+        cf.write_text(f"l = 1\nmass = 1\nrate = {raw}\n")
+        argv = ["stationary", "--config", str(cf)]
+        args = build_parser().parse_args(argv)
+        _apply_config(args, argv)
+        assert args.rate is rate
+
+    @pytest.mark.parametrize("line", ["rate = ture", "rate = ", "mass = one"])
+    def test_invalid_value_names_its_key(self, tmp_path, line):
+        # "ture" was once read as False, and the CLI computed a probability
+        cf = tmp_path / "bad.cfg"
+        cf.write_text(f"l = 1\nmass = 1\ntime = 1\n{line}\n")
+        code, out, err = run_cli(["stationary", "--config", str(cf)])
+        assert code == EXIT_VALIDATION and out == ""
+        assert repr(line.split()[0]) in err
 
 
 class TestDefaultsSingleSource:

@@ -394,7 +394,7 @@ class TestOneCallPerRound:
         assert str(rounds.value) == str(panels.value)
 
 
-class TestLookAhead:
+class TestRoundRule:
     """A round bisects every panel above the tolerance: no evaluation is
     wasted, and a round that fails raises its first failure, as per_panel
     does."""

@@ -37,6 +37,11 @@ class TestDecayProbability:
         with pytest.raises(ValueError):
             decay_probability_stationary(GEOM, FIELDS, -1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_duration(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            decay_probability_stationary(GEOM, FIELDS, t)
+
     def test_requires_resting_cavity(self):
         with pytest.raises(ValueError):
             decay_probability_stationary(cavity_geometry(1.0, 0.3), FIELDS, 1.0)
