@@ -59,8 +59,8 @@ class AveragingWindow:
     samples: int = DEFAULT_AVG_SAMPLES
 
     def __post_init__(self):
-        if not self.center_alpha > 0:
-            raise ValueError("center_alpha must be positive")
+        if not 0.0 < self.center_alpha < math.inf:
+            raise ValueError("center_alpha must be positive and finite")
         if not 0.0 < self.relative_halfwidth < 1.0:
             raise ValueError("relative_halfwidth must be in (0, 1)")
         if self.samples < 8:
@@ -113,24 +113,25 @@ def spatial_overlaps(omegas, geometries, M: float,
     refined in lockstep: each round of the adaptive quadratures costs one
     row-batched Bessel call, one row per panel.  Each result is the one a
     quadrature of that overlap alone returns."""
-    omegas = [float(om) for om in omegas]
+    omegas = np.array(omegas, dtype=float)
     geometries = list(geometries)
-    if len(omegas) != len(geometries):
+    if omegas.shape != (len(geometries),):
         raise ValueError("need one geometry per frequency")
-    for om, g in zip(omegas, geometries):
-        if g.alpha <= 0:
-            raise ValueError("spatial_overlap needs an accelerated cavity (alpha > 0)")
-        if not (om > 0 and M > 0):
-            raise ValueError("Omega and M must be positive")
     alpha = np.array([g.alpha for g in geometries])
-    nu = np.array(omegas) / alpha
-    zscale = M / alpha
+    if not alpha.all():
+        raise ValueError("spatial_overlap needs an accelerated cavity (alpha > 0)")
+    if not (M > 0 and (omegas > 0).all()):
+        raise ValueError("Omega and M must be positive")
+    with np.errstate(over="ignore"):  # the row kernel refuses an inf order or argument
+        nu = omegas / alpha
+        zscale = M / alpha
     w1 = np.array([g.omega1 for g in geometries])
     xi_m = np.array([g.xi_minus for g in geometries])
     worst_est = np.zeros(len(omegas))
 
     def integrand(ids: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        z = zscale[ids, None] * np.exp(alpha[ids, None] * xi)
+        with np.errstate(over="ignore"):
+            z = zscale[ids, None] * np.exp(alpha[ids, None] * xi)
         vals, est = bessel_k_scaled_rows(nu[ids], z)
         np.maximum.at(worst_est, ids, est)
         return vals * np.sin(w1[ids, None] * (xi - xi_m[ids, None]))
@@ -176,7 +177,7 @@ def decay_probability_accelerated(geometry: CavityGeometry, fields: FieldParams,
     # integrate the unit-coupling shape and multiply by lam^2 pref afterwards,
     # so first-order scaling is exact; abs_tol refers to the unit-coupling P
     pref = 2.0 / (math.pi**3 * alpha)
-    budget = cfg.abs_tol / pref
+    unit = cfg.scaled(pref)
     overlap_est = [0.0]
     overlap_evals = [0]
     overlaps_converged = [True]
@@ -192,8 +193,9 @@ def decay_probability_accelerated(geometry: CavityGeometry, fields: FieldParams,
         js = np.array([ov.scaled_value for ov in overlaps])
         # math.exp, not np.exp: the two differ in the last bit on some arguments
         therm = np.array([math.exp(-2.0 * math.pi * om / alpha) for om in oms.tolist()])
-        return js * js * (resonance_kernel(oms - w1, tau)
-                          + therm * resonance_kernel(oms + w1, tau))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN past double range
+            return js * js * (resonance_kernel(oms - w1, tau)
+                              + therm * resonance_kernel(oms + w1, tau))
 
     om_lo = OMEGA_FLOOR_FRACTION * w1
 
@@ -203,9 +205,9 @@ def decay_probability_accelerated(geometry: CavityGeometry, fields: FieldParams,
         return probe * om_c / 2.0
 
     om_hi = truncation_point(tail, max(4.0 * w1, 2.0 * M, 8.0 * alpha),
-                             budget / 10.0)
+                             unit.abs_tol / 10.0)
 
-    res = integrate(integrand, om_lo, om_hi, replace(cfg, abs_tol=budget),
+    res = integrate(integrand, om_lo, om_hi, unit,
                     resonances=((w1, 2.0 * math.pi / tau),))
     lam2_pref = lam * lam * pref
     err = lam2_pref * (res.error_estimate + 2.0 * overlap_est[0] * abs(res.value))
@@ -232,11 +234,8 @@ def decay_rate_accelerated_longtime(geometry: CavityGeometry, fields: FieldParam
     """Long-time decay rate lam^2 e^{pi w1/alpha} |J(w1)|^2 / (pi^2 alpha),
     evaluated as lam^2 J_s(w1)^2 / (pi^2 alpha) so the squeezing exponential
     cancels exactly instead of overflowing."""
-    alpha = geometry.alpha
-    if alpha <= 0:
-        raise ValueError("long-time accelerated rate requires alpha > 0")
     ov = spatial_overlap(geometry.omega1, geometry, fields.M, _overlap_cfg(cfg))
-    return _longtime_rate(ov, alpha, fields.lam)
+    return _longtime_rate(ov, geometry.alpha, fields.lam)
 
 
 def averaged_decay_rate(geometry: CavityGeometry, fields: FieldParams,

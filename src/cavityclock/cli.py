@@ -23,9 +23,7 @@ import numpy as np
 from . import accelerated, quadrature, stationary
 from .accelerated import AveragingWindow
 from .core import FieldParams
-from .errors import (HorizonError, IntegrandError, NearThresholdError,
-                     SpecialFunctionRangeError, SuperluminalPathError,
-                     UndefinedRatioError, WedgeDomainError)
+from .errors import IntegrandError, UndefinedRatioError
 from .kinematics import cavity_geometry
 from .quadrature import QuadratureConfig
 from .verify import CHECK_GROUPS, run_checks
@@ -38,10 +36,9 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
-_VALIDATION_ERRORS = (ValueError, HorizonError, WedgeDomainError,
-                      SuperluminalPathError, NearThresholdError)
-_NUMERICAL_ERRORS = (IntegrandError, SpecialFunctionRangeError,
-                     UndefinedRatioError, OverflowError)
+# the package's validation errors are ValueErrors, SpecialFunctionRangeError an OverflowError
+_VALIDATION_ERRORS = (ValueError,)
+_NUMERICAL_ERRORS = (IntegrandError, UndefinedRatioError, OverflowError)
 
 SWEEPABLE = ("alpha", "l", "M", "t_or_tau")
 
@@ -173,33 +170,23 @@ def _evaluate(args: argparse.Namespace, overrides: dict) -> dict:
     mode, l, alpha, duration = row["mode"], row["l"], row["alpha"], row["t_or_tau"]
     cfg = QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     fields = FieldParams(M=row["M"], lam=args.lam)
+    if duration is None:
+        raise ValueError("missing required parameter --time (or use --rate)")
+    geom = cavity_geometry(l, alpha)  # alpha is 0.0 in the stationary mode
 
     if mode == "stationary":
-        geom = cavity_geometry(l, 0.0)
-        if args.rate:
-            result = stationary.decay_rate_stationary_longtime(geom, fields)
-        else:
-            if duration is None:
-                raise ValueError("missing required parameter --time (or use --rate)")
-            result = stationary.decay_probability_stationary(geom, fields, duration, cfg)
-    elif mode == "accelerated":
-        geom = cavity_geometry(l, alpha)
-        if args.rate:
-            if args.averaged:
-                window = AveragingWindow(alpha, args.avg_width, args.avg_samples)
-                result = accelerated.averaged_decay_rate(geom, fields, window, cfg)
-            else:
-                result = accelerated.decay_rate_accelerated_longtime(geom, fields, cfg)
-        else:
-            if duration is None:
-                raise ValueError("missing required parameter --time (or use --rate)")
-            result = accelerated.decay_probability_accelerated(geom, fields, duration, cfg)
+        result = (stationary.decay_rate_stationary_longtime(geom, fields) if args.rate
+                  else stationary.decay_probability_stationary(geom, fields, duration, cfg))
     elif mode == "deviation":
-        geom = cavity_geometry(l, alpha)
         window = AveragingWindow(alpha, args.avg_width, args.avg_samples)
         result = accelerated.ideal_clock_deviation_result(geom, fields, window, cfg)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown mode {mode}")
+    elif not args.rate:
+        result = accelerated.decay_probability_accelerated(geom, fields, duration, cfg)
+    elif args.averaged:
+        window = AveragingWindow(alpha, args.avg_width, args.avg_samples)
+        result = accelerated.averaged_decay_rate(geom, fields, window, cfg)
+    else:
+        result = accelerated.decay_rate_accelerated_longtime(geom, fields, cfg)
 
     if not result.diagnostics.get("converged", True):
         raise IntegrandError("quadrature did not converge to the requested tolerance")

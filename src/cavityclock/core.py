@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -24,22 +25,27 @@ class FieldParams:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not self.M > 0:
-            raise ValueError("external-field mass M must be positive")
-        if self.lam < 0:
-            raise ValueError("coupling lam must be nonnegative")
+        if not 0.0 < self.M < math.inf:
+            raise ValueError("external-field mass M must be positive and finite")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("coupling lam must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
 class DecayResult:
-    """A decay probability (kind='probability') or rate (kind='rate') with its
-    numerical error estimate, heuristic regime tag and solver diagnostics."""
+    """A decay probability, rate or deviation (kind) with its numerical error
+    estimate, heuristic regime tag and solver diagnostics; every observable
+    with a value or estimate that is not finite is refused here (OverflowError)."""
 
     value: float
     kind: str
     error_estimate: float
     regime: str
     diagnostics: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.error_estimate)):
+            raise OverflowError(f"{self.kind} {self.value!r} +- {self.error_estimate!r} is not finite")
 
 
 def classify_regime(duration: float, detuning_scale: float) -> str:

@@ -4,7 +4,7 @@ geometry.  Natural units, c = 1, 1+1 dimensions."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,9 +38,7 @@ class Trajectory:
 
 def proper_time(traj: Trajectory, t0: float, t1: float,
                 cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """integral of sqrt(1 - v^2) dt over [t0, t1]."""
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
+    """integral of sqrt(1 - v^2) dt over [t0, t1]; integrate() refuses t1 < t0."""
 
     def integrand(t):
         v = np.asarray(traj.velocity(t), dtype=float)
@@ -73,46 +71,39 @@ def minkowski_from_rindler(xi: float, tau: float, alpha: float) -> tuple[float, 
 
 @dataclass(frozen=True)
 class CavityGeometry:
-    """Cavity of proper length l whose center rides at proper acceleration alpha.
-
-    alpha = 0 is the resting cavity.  For alpha > 0 the walls sit at lab
-    positions sigma_-+ = 1/alpha -+ l/2 at t = 0 (equivalently Rindler
-    positions xi_-+), and the mode frequencies become
-    omega_n = alpha n pi / ln(sigma_+/sigma_-).
-    """
+    """Cavity of proper length l whose center rides at proper acceleration
+    alpha: its lowest mode frequency omega1 and its walls' Rindler positions
+    xi_-+, derived once by cavity_geometry.  At rest (alpha = 0) omega1 = pi/l
+    and xi_-+ = -+l/2.  For alpha > 0 the walls sit at lab positions
+    sigma_-+ = 1/alpha -+ l/2 at t = 0, xi_-+ = ln(alpha sigma_-+)/alpha and
+    omega1 = alpha pi / ln(sigma_+/sigma_-)."""
 
     l: float
     alpha: float
-    sigma_minus: float
-    sigma_plus: float
-    xi_minus: float | None = field(default=None)
-    xi_plus: float | None = field(default=None)
-
-    def mode_frequency(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("mode index n must be >= 1")
-        if self.alpha == 0.0:
-            return n * math.pi / self.l
-        return self.alpha * n * math.pi / math.log(self.sigma_plus / self.sigma_minus)
-
-    @property
-    def omega1(self) -> float:
-        return self.mode_frequency(1)
+    omega1: float
+    xi_minus: float
+    xi_plus: float
 
 
 def cavity_geometry(l: float, alpha: float) -> CavityGeometry:
     """Build the cavity geometry; alpha l >= 2 puts the left wall at or behind
-    the Rindler horizon and raises HorizonError."""
-    if l <= 0:
-        raise ValueError("proper length l must be positive")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if alpha == 0.0:
-        return CavityGeometry(l, 0.0, -0.5 * l, 0.5 * l)
+    the Rindler horizon and raises HorizonError, and an omega1 that is not
+    finite (ln(sigma_+/sigma_-) rounds to 0, or pi/l overflows) ValueError."""
+    l, alpha = float(l), float(alpha)
+    if not 0.0 < l < math.inf:
+        raise ValueError("proper length l must be positive and finite")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and nonnegative")
     if alpha * l >= 2.0:
         raise HorizonError(f"alpha*l = {alpha * l} >= 2: left wall at or behind the horizon")
-    sigma_minus = 1.0 / alpha - 0.5 * l
-    sigma_plus = 1.0 / alpha + 0.5 * l
-    xi_minus = math.log(alpha * sigma_minus) / alpha
-    xi_plus = math.log(alpha * sigma_plus) / alpha
-    return CavityGeometry(l, alpha, sigma_minus, sigma_plus, xi_minus, xi_plus)
+    if alpha == 0.0:
+        omega1, xi_minus, xi_plus = math.pi / l, -0.5 * l, 0.5 * l
+    else:
+        sigma_minus, sigma_plus = 1.0 / alpha - 0.5 * l, 1.0 / alpha + 0.5 * l
+        h = math.log(sigma_plus / sigma_minus)
+        omega1 = alpha * math.pi / h if h > 0.0 else math.inf
+        xi_minus = math.log(alpha * sigma_minus) / alpha
+        xi_plus = math.log(alpha * sigma_plus) / alpha
+    if not omega1 < math.inf:
+        raise ValueError(f"omega1 is not finite at l = {l!r}, alpha = {alpha!r}")
+    return CavityGeometry(l, alpha, omega1, xi_minus, xi_plus)

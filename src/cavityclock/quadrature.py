@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -80,10 +80,19 @@ class QuadratureConfig:
     max_subdivisions: int = DEFAULT_MAX_SUBDIVISIONS
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("rel_tol and abs_tol must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("rel_tol and abs_tol must be positive and finite")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
+
+    def scaled(self, factor: float) -> QuadratureConfig:
+        """This config for an integral its caller multiplies by factor: abs_tol
+        / factor, refused (OverflowError) where that leaves the positive doubles."""
+        abs_tol = self.abs_tol / factor if factor > 0.0 else math.inf
+        if not 0.0 < abs_tol < math.inf:
+            raise OverflowError(f"abs_tol / {factor!r}, the scaled integral's tolerance, "
+                                "leaves double range")
+        return replace(self, abs_tol=abs_tol)
 
 
 @dataclass(frozen=True)
@@ -136,6 +145,9 @@ def _breakpoints(a: float, b: float, singular=(), resonances=()) -> list[float]:
     for center, width in resonances:
         if width <= 0:
             raise ValueError("resonance width must be positive")
+        if width <= 1e-15 * max(1.0, abs(center)):
+            raise OverflowError(f"resonance of width {width!r} at {center!r} is below "
+                                "double resolution")
         for k in (1.0, 4.0, 16.0):
             for p in (center - k * width, center + k * width):
                 if a < p < b:

@@ -387,10 +387,28 @@ _BRANCHES = ((BesselMethod.POWER_SERIES, _k0_rows), (BesselMethod.POWER_SERIES, 
              (BesselMethod.INTEGRAL_REPRESENTATION, _contour_rows))
 
 
+# the domain of the row kernel and the scalar front end: there the squares of
+# x, nu and x -+ nu, nu/x and ln(x/2) stay finite, and so does the contour
+# rule, which gives inf from about nu = 4e18 at x = 1e34 (a scan of nu and x)
+_NU_MAX, _X_MIN, _X_MAX = 1e17, 1e-280, 1e150
+
+
+def _check_domain(nu: np.ndarray, x: np.ndarray) -> None:
+    """ValueError for x <= 0, SpecialFunctionRangeError outside the domain."""
+    x_lo, x_hi, nu_hi = x.min(initial=math.inf), x.max(initial=0.0), nu.max(initial=0.0)
+    if not x_lo > 0.0:
+        raise ValueError("x must be positive")
+    if not (nu_hi <= _NU_MAX and _X_MIN <= x_lo and x_hi <= _X_MAX):
+        raise SpecialFunctionRangeError(
+            f"K_(i nu)(x) at nu up to {nu_hi:.3g}, x in [{x_lo:.3g}, {x_hi:.3g}]: outside "
+            f"nu <= {_NU_MAX:.0e}, {_X_MIN:.0e} <= x <= {_X_MAX:.0e}")
+
+
 def bessel_k_scaled_rows(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized e^{pi nu/2} K_{i nu}(x) row by row: row r of the 2-D x at
     order nu[r].  Returns (values, worst) with worst[r] the worst relative
-    error estimate of row r, at least 1e-15.
+    error estimate of row r, at least 1e-15.  Points outside the domain
+    (_check_domain) are refused.
 
     Used by the spatial-overlap quadratures, one row per Kronrod panel, so
     that many panels of many overlaps cost one call.  Each point goes to one
@@ -404,8 +422,7 @@ def bessel_k_scaled_rows(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.
     nu = np.abs(np.asarray(nu, dtype=float))
     if x.ndim != 2 or nu.shape != x.shape[:1]:
         raise ValueError("x must be 2-D with one order per row")
-    if np.any(x <= 0):
-        raise ValueError("x must be positive")
+    _check_domain(nu, x)
     out = np.empty_like(x)
     worst = np.full(nu.shape, 1e-15)
     for (_method, branch), mask in zip(_BRANCHES, _branch_masks(nu, x)):
@@ -423,12 +440,11 @@ def bessel_k_scaled_values(nu: float, x: np.ndarray) -> tuple[np.ndarray, float]
 
 
 def bessel_k_imag_order_log(nu: float, x: float) -> LogBesselEval:
-    """K_{i nu}(x) in log/sign form at any representable order: the row
+    """K_{i nu}(x) in log/sign form at any order of the domain: the row
     kernel's branch at the one point (nu, x), tagged; where e^{pi nu/2} K
     underflows (x >> nu), the contour rule's log form keeps log_abs finite."""
-    if not x > 0:
-        raise ValueError("x must be positive")
     nu_, x_ = np.array([abs(float(nu))]), np.array([[float(x)]])
+    _check_domain(nu_, x_)
     out, worst = np.empty((1, 1)), np.full(1, 1e-15)
     method, branch = next(b for b, m in zip(_BRANCHES, _branch_masks(nu_, x_)) if m[0, 0])
     with np.errstate(all="ignore"):

@@ -20,7 +20,6 @@ pi/l <= M and approaches lam^2 l^3 / (4 pi^2) per unit time for small cavities.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -40,10 +39,11 @@ def _integrand_scaled(u: np.ndarray, m: float, ts: float) -> np.ndarray:
     through sinc with no 0/0."""
     u = np.asarray(u, dtype=float)
     om = np.hypot(u, m)
-    ker = resonance_kernel(om - math.pi, ts)
-    half = 0.5 * (u - math.pi)
-    sinc = np.sinc(half / math.pi)
-    return 0.25 * sinc * sinc * ker / ((u + math.pi) ** 2 * om)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN past double range
+        ker = resonance_kernel(om - math.pi, ts)
+        half = 0.5 * (u - math.pi)
+        sinc = np.sinc(half / math.pi)
+        return 0.25 * sinc * sinc * ker / ((u + math.pi) ** 2 * om)
 
 
 def _cutoff(m: float, ts: float, abs_tol_scaled: float) -> float:
@@ -68,17 +68,17 @@ def decay_probability_stationary(geometry: CavityGeometry, fields: FieldParams,
         raise ValueError("duration t must be finite and nonnegative")
     l, M, lam = geometry.l, fields.M, fields.lam
     regime = classify_regime(t, math.pi / l - M)
-    if t == 0.0 or lam == 0.0:
+    ts = t / l
+    if ts == 0.0 or lam == 0.0:  # also where t / l underflows
         return DecayResult(0.0, "probability", 0.0, regime, {"evaluations": 0})
 
     cfg = cfg or QuadratureConfig()
     m = M * l
-    ts = t / l
     # integrate at unit coupling and multiply by lam^2 afterwards, so the
     # first-order scaling is exact; abs_tol refers to the unit-coupling P
     scale = 8.0 * l**4
-    budget = cfg.abs_tol / scale
-    uc = _cutoff(m, ts, budget)
+    unit = cfg.scaled(scale)
+    uc = _cutoff(m, ts, unit.abs_tol)
 
     resonances = ()
     if math.pi > m:
@@ -86,7 +86,7 @@ def decay_probability_stationary(geometry: CavityGeometry, fields: FieldParams,
         resonances = ((u_res, (2.0 * math.pi / ts) * (math.pi / u_res)),)
 
     res = integrate(lambda u: _integrand_scaled(u, m, ts), 0.0, uc,
-                    replace(cfg, abs_tol=budget), singular=(math.pi,), resonances=resonances)
+                    unit, singular=(math.pi,), resonances=resonances)
     lam2 = lam * lam
     return DecayResult(lam2 * scale * res.value, "probability",
                        lam2 * scale * res.error_estimate, regime,
@@ -111,7 +111,9 @@ def decay_rate_stationary_longtime(geometry: CavityGeometry, fields: FieldParams
     if M >= thr:
         return DecayResult(0.0, "rate", 0.0, REGIME_LONG, {"below_threshold": True})
     kappa = math.sqrt(thr * thr - M * M)
-    rate = 4.0 * lam * lam * math.pi * math.cos(0.5 * kappa * l) ** 2 / (
-        l * l * M**4 * kappa)
+    denom = l * l * M**4 * kappa
+    # where M^4 underflows the rate, ~1/M^4, is past double range (refused as inf)
+    rate = (4.0 * lam * lam * math.pi * math.cos(0.5 * kappa * l) ** 2 / denom
+            if denom else math.inf)
     return DecayResult(rate, "rate", 8.0 * float(np.finfo(float).eps) * rate,
                        REGIME_LONG, {"kappa": kappa})

@@ -309,6 +309,11 @@ class TestAveraging:
         with pytest.raises(ValueError):
             AveragingWindow(-1.0)
 
+    @pytest.mark.parametrize("center", [math.nan, math.inf])
+    def test_window_non_finite_center_refused(self, center):
+        with pytest.raises(ValueError, match="center_alpha must be positive and finite"):
+            AveragingWindow(center)
+
     def test_degenerate_window_approaches_pointwise(self):
         g = cavity_geometry(1.0, 0.3)
         point = decay_rate_accelerated_longtime(g, FIELDS).value

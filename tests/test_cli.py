@@ -4,8 +4,10 @@ import io
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from cavityclock import accelerated, quadrature, verify
 from cavityclock.cli import (CSV_COLUMNS, EXIT_NUMERICAL, EXIT_OK,
@@ -107,6 +109,87 @@ class TestRunPoint:
                                                      FieldParams(4.0))
         assert code == EXIT_NUMERICAL and out == ""
         assert err == f"numerical failure: {lib.value}\n"
+
+
+class TestValidationBoundary:
+    """Non-finite parameters exit 1 and non-finite results exit 2, each with
+    one line on stderr, no traceback and no RuntimeWarning."""
+
+    @pytest.mark.parametrize("args", [
+        ["--lambda", "nan"], ["--l", "nan"], ["--l", "inf"], ["--mass", "inf"],
+        ["--rel-tol", "inf"], ["--abs-tol", "nan"],
+    ], ids=["lambda nan", "l nan", "l inf", "mass inf", "rel-tol inf", "abs-tol nan"])
+    def test_non_finite_parameter_refused(self, args):
+        argv = {"--l": "1", "--mass": "1", **dict([args])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["stationary", "--rate", *[a for kv in argv.items() for a in kv]])
+        assert code == EXIT_VALIDATION and out == ""
+        assert err.startswith("invalid parameters: ") and err.count("\n") == 1
+        assert "finite" in err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["stationary", "--l", "1", "--mass", "1", "--rate", "--lambda", "1e300"], EXIT_NUMERICAL),
+        (["accelerated", "--l", "1", "--mass", "inf", "--alpha", "0.5", "--rate"], EXIT_VALIDATION),
+        (["accelerated", "--l", "1", "--mass", "1", "--alpha", "nan", "--rate"], EXIT_VALIDATION),
+        (["stationary", "--l", "1", "--mass", "1", "--time", "1e300"], EXIT_NUMERICAL),
+        (["accelerated", "--l", "1", "--mass", "1", "--alpha", "0.5", "--time", "1e300"],
+         EXIT_NUMERICAL),
+        (["stationary", "--l", "1e-300", "--mass", "1", "--time", "1"], EXIT_NUMERICAL),
+        (["stationary", "--l", "1", "--mass", "2.2e-308", "--rate"], EXIT_NUMERICAL),
+    ], ids=["rate overflows", "mass inf", "alpha nan", "stationary time 1e300",
+            "accelerated time 1e300", "l^4 underflows", "rate ~ 1/M^4 overflows"])
+    def test_exit_codes(self, argv, code):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = run_cli(argv)
+        assert got == code and out == ""
+        assert err.count("\n") == 1
+
+    # drawn for up to two parameters, the others ordinary; tiny positive
+    # tolerances are valid but refine to max_subdivisions, which takes
+    # minutes in the accelerated modes, so the tolerances leave them out
+    SPECIAL = ["nan", "inf", "-inf", "0", "-1", "5e-324", "2.2e-308", "1e-300", "1e300"]
+    SPECIAL_TOL = ["nan", "inf", "-inf", "0", "-1", "1e300"]
+    # loose tolerances and 8 window samples keep the ordinary draws cheap
+    ORDINARY = {"l": ["1", "0.7", "2.5"], "mass": ["1", "0.5", "3"],
+                "alpha": ["0.5", "0.2", "1.1"], "lambda": ["1", "0.3"],
+                "time": ["1", "5", "0.3"], "rel-tol": ["0.1"], "abs-tol": ["0.01"]}
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_call_ends_cleanly(self, data):
+        mode = data.draw(st.sampled_from(["stationary", "accelerated", "deviation"]))
+        rate = mode != "deviation" and data.draw(st.booleans(), label="rate")
+        names = ["l", "mass", "lambda", "rel-tol", "abs-tol"]
+        names += [] if mode == "stationary" else ["alpha"]
+        names += [] if rate or mode == "deviation" else ["time"]
+        specials = data.draw(st.lists(st.sampled_from(names), max_size=2), label="specials")
+        argv = [mode]
+        for name in names:
+            values = (self.ORDINARY[name] if name not in specials
+                      else self.SPECIAL_TOL if name.endswith("tol") else self.SPECIAL)
+            argv.append(f"--{name}={data.draw(st.sampled_from(values), label=name)}")
+        if rate:
+            argv.append("--rate")
+        if mode == "accelerated" and rate and data.draw(st.booleans(), label="averaged"):
+            argv.append("--averaged")
+        if mode != "stationary":
+            argv.append("--avg-samples=8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv)
+        event(f"exit {code}")
+        if code == EXIT_OK:
+            header, rows = parse_csv(out)
+            row = dict(zip(header, rows[0]))
+            assert row["status"] == "ok" and err == ""
+            assert math.isfinite(float(row["value"]))
+            assert math.isfinite(float(row["error_estimate"]))
+        else:
+            assert code in (EXIT_VALIDATION, EXIT_NUMERICAL) and out == ""
+            assert err.startswith(("invalid parameters: ", "numerical failure: "))
+            assert err.count("\n") == 1
 
 
 class TestConvergenceGuard:

@@ -95,30 +95,29 @@ class TestRindlerMaps:
 class TestCavityGeometry:
     def test_resting(self):
         g = cavity_geometry(2.0, 0.0)
-        assert (g.sigma_minus, g.sigma_plus) == (-1.0, 1.0)
-        assert g.omega1 == pytest.approx(math.pi / 2.0)
+        assert (g.omega1, g.xi_minus, g.xi_plus) == (math.pi / 2.0, -1.0, 1.0)
+        assert all(type(v) is float for v in (g.l, g.alpha, g.omega1, g.xi_minus, g.xi_plus))
 
     def test_accelerated_example(self):
         g = cavity_geometry(1.0, 0.01)
-        assert g.sigma_minus == pytest.approx(99.5)
-        assert g.sigma_plus == pytest.approx(100.5)
         assert g.omega1 == pytest.approx(3.141566473476465, rel=1e-13)
+        # walls at Rindler positions ln(1 -+ alpha l/2)/alpha
+        assert g.xi_minus == pytest.approx(math.log(0.995) / 0.01, rel=1e-13)
+        assert g.xi_plus == pytest.approx(math.log(1.005) / 0.01, rel=1e-13)
         # approaches pi/l as alpha -> 0
         assert abs(g.omega1 - math.pi) < 1e-4
 
     def test_wall_relations(self):
         g = cavity_geometry(1.0, 0.5)
-        assert g.sigma_minus == pytest.approx(1.0 / 0.5 - 0.5)
-        assert g.sigma_plus - g.sigma_minus == pytest.approx(g.l)
-        assert 2.0 / (g.sigma_minus + g.sigma_plus) == pytest.approx(g.alpha)
+        # lab wall positions sigma_-+ = e^{alpha xi_-+}/alpha = 1/alpha -+ l/2
+        sigma_minus = math.exp(g.alpha * g.xi_minus) / g.alpha
+        sigma_plus = math.exp(g.alpha * g.xi_plus) / g.alpha
+        assert sigma_minus == pytest.approx(1.0 / 0.5 - 0.5, rel=1e-14)
+        assert sigma_plus - sigma_minus == pytest.approx(g.l, rel=1e-14)
+        assert 2.0 / (sigma_minus + sigma_plus) == pytest.approx(g.alpha, rel=1e-14)
         assert g.xi_plus > g.xi_minus
-        assert g.xi_minus == pytest.approx(math.log(0.5 * g.sigma_minus) / 0.5)
-
-    def test_mode_frequencies_linear_in_n(self):
-        g = cavity_geometry(1.3, 0.4)
-        base = g.omega1
-        for n in range(2, 50):
-            assert g.mode_frequency(n) / n == pytest.approx(base, rel=1e-14)
+        # the lowest mode sin(omega1 (xi - xi_-)) vanishes on both walls
+        assert g.omega1 * (g.xi_plus - g.xi_minus) == pytest.approx(math.pi, rel=1e-14)
 
     def test_alpha_to_zero_limit(self):
         for alpha in [1e-3, 1e-5]:
@@ -132,9 +131,9 @@ class TestCavityGeometry:
             cavity_geometry(1.0, 2.0)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            cavity_geometry(0.0, 0.1)
-        with pytest.raises(ValueError):
-            cavity_geometry(1.0, -0.1)
-        with pytest.raises(ValueError):
-            cavity_geometry(1.0, 0.5).mode_frequency(0)
+        for l, alpha in [(0.0, 0.1), (-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+                         (math.nan, 0.5), (1.0, -0.1), (1.0, math.nan), (1.0, math.inf),
+                         (1.0, -math.inf),
+                         (5e-324, 0.0)]:  # omega1 = pi/l overflows
+            with pytest.raises(ValueError):
+                cavity_geometry(l, alpha)

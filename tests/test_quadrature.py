@@ -17,6 +17,12 @@ from cavityclock.stationary import _integrand_scaled
 
 
 class TestBasics:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+    def test_config_tolerances_refused(self, tol):
+        for kwargs in ({"rel_tol": tol}, {"abs_tol": tol}):
+            with pytest.raises(ValueError, match="positive and finite"):
+                QuadratureConfig(**kwargs)
+
     def test_polynomial(self):
         r = integrate(lambda x: x * x, 0.0, 1.0)
         assert r.converged
@@ -511,6 +517,14 @@ class TestResonant:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             integrate(lambda x: x, 0.0, 1.0, resonances=((0.5, 0.0),))
+
+    def test_width_below_resolution_refused(self):
+        # the breakpoints of a narrower resonance would merge into its center
+        def never(x):
+            raise AssertionError("integrand called")
+        with pytest.raises(OverflowError, match="below double resolution"):
+            integrate(never, 0.0, 10.0, resonances=((4.0, 4e-15),))
+        assert integrate(lambda x: x, 0.0, 10.0, resonances=((4.0, 5e-15),)).converged
 
 
 class TestSingularPoints:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from scipy.special import loggamma
 
 from cavityclock.errors import SpecialFunctionRangeError
 from cavityclock.quadrature import _NODES
-from cavityclock.specialfn import (_BAND, _CKJ, _DEBYE_TERMS, DEFAULT_BESSEL_TOL, BesselMethod,
+from cavityclock.specialfn import (_BAND, _CKJ, _DEBYE_TERMS, _NU_MAX, _X_MAX, _X_MIN,
+                                   DEFAULT_BESSEL_TOL, BesselMethod,
                                    _contour_rows, _debye_oscillatory_rows, _k0_rows,
                                    _series_rows,
                                    bessel_k_imag_order, bessel_k_imag_order_log,
@@ -641,6 +643,48 @@ class TestRowsIndependent:
             bessel_k_scaled_rows(np.array([1.0]), np.ones(15))
         with pytest.raises(ValueError):
             bessel_k_scaled_rows(np.array([1.0]), np.zeros((1, 15)))
+
+
+class TestDomain:
+    """One domain check for the row kernel and the scalar front end: inside
+    it every branch gives finite values and estimates without a floating
+    point warning, outside it the call is refused."""
+
+    # the corners of the domain and the branch edges next to them
+    INSIDE = [(0.0, _X_MIN), (0.0, 1.0), (0.0, _X_MAX), (1e-9, _X_MIN), (59.9, _X_MIN),
+              (60.0, _X_MIN), (150.0, 149.9), (1e4, _X_MAX), (_NU_MAX, _X_MIN),
+              (_NU_MAX, 0.5 * _NU_MAX), (_NU_MAX, _NU_MAX), (_NU_MAX, 1e34), (_NU_MAX, _X_MAX)]
+
+    @pytest.mark.parametrize("nu, x", INSIDE)
+    def test_inside_finite_without_warning(self, nu, x):
+        xs = np.array([[x, x * (1.0 - 1e-3)]]) if x > _X_MIN else np.array([[x, 2.0 * x]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, worst = bessel_k_scaled_rows(np.array([nu]), xs)
+            ev = bessel_k_imag_order_log(nu, x)
+        assert np.isfinite(vals).all() and np.isfinite(worst).all()
+        assert math.isfinite(ev.rel_error_estimate) and not math.isnan(ev.log_abs)
+
+    @pytest.mark.parametrize("nu, x", [
+        (math.nextafter(_NU_MAX, math.inf), 1.0), (3e300, 1e300), (math.inf, 1.0),
+        (math.nan, 1.0), (1.0, math.nextafter(_X_MIN, 0.0)), (1.0, 5e-324),
+        (1.0, math.nextafter(_X_MAX, math.inf)), (1.0, math.inf)])
+    def test_outside_refused(self, nu, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecialFunctionRangeError, match="outside"):
+                bessel_k_scaled_rows(np.array([nu]), np.array([[1.0, x]]))
+            with pytest.raises(SpecialFunctionRangeError, match="outside"):
+                bessel_k_imag_order_log(nu, x)
+
+    def test_overlap_order_past_double_range(self):
+        # Omega/alpha overflows to inf, which the kernel refuses
+        from cavityclock.accelerated import spatial_overlap
+        from cavityclock.kinematics import cavity_geometry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecialFunctionRangeError):
+                spatial_overlap(1e308, cavity_geometry(1.0, 0.1), 1.0)
 
 
 class TestGammaAbsSq:

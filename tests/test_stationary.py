@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cavityclock.core import FieldParams, REGIME_GENERIC, REGIME_LONG, REGIME_SHORT
+from cavityclock.core import (DecayResult, FieldParams, REGIME_GENERIC, REGIME_LONG,
+                              REGIME_SHORT)
 from cavityclock.errors import NearThresholdError
 from cavityclock.kinematics import cavity_geometry
 from cavityclock.quadrature import QuadratureConfig, integrate
@@ -128,3 +129,25 @@ class TestFieldParams:
             FieldParams(M=-1.0)
         with pytest.raises(ValueError):
             FieldParams(M=1.0, lam=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, value):
+        with pytest.raises(ValueError, match="M must be positive and finite"):
+            FieldParams(M=value)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            FieldParams(M=1.0, lam=value)
+
+
+class TestDecayResult:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, value):
+        # one check for every observable: a value or estimate that is not
+        # finite is a numerical failure, never a result
+        with pytest.raises(OverflowError, match="not finite"):
+            DecayResult(value, "rate", 0.0, REGIME_LONG)
+        with pytest.raises(OverflowError, match="not finite"):
+            DecayResult(1.0, "probability", value, REGIME_SHORT)
+
+    def test_coupling_overflow_is_numerical_failure(self):
+        with pytest.raises(OverflowError):
+            decay_rate_stationary_longtime(GEOM, FieldParams(M=1.0, lam=1e300))
