@@ -14,6 +14,8 @@ cannot share one process.  Both run:
   called with each op's args;
 * the values behind the deviation-sweep anchors: the criterion-9 deviations
   and the scaled overlap at alpha = 0.5;
+* the cavity geometry (l = 1): omega1 and xi_-+ at rest and at each alpha of
+  GEOMETRY_ALPHAS (a checkout that leaves xi_-+ unset at rest gives None);
 * one accelerated probability (l = 1, M = 1, alpha = 0.5, tau = 5): its value
   and estimate as float.hex and its diagnostics (evaluations, overlap
   evaluations, Omega cutoff, worst overlap estimate), which count the steps
@@ -62,6 +64,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 OPS = {"stationary-probability": 600, "accel-probability": 40, "deviation-sweep": 300}
 STATIONARY_STEPS = 100
+GEOMETRY_ALPHAS = (0.0, 1e-6, 1e-3, 0.08, 0.5, 1.9)
 # (order, panel) rows of the row-kernel call; the comment gives the branch
 KERNEL_ROWS = [
     (0.0, (0.05, 3.0)),            # K_0 series
@@ -168,6 +171,11 @@ def emit(root: Path, seeds: list[int]) -> dict:
     anchors = {f"deviation alpha={a}": cc.ideal_clock_deviation(cc.cavity_geometry(1.0, a),
                                                                 FieldParams(1.0)).hex()
                for a in CRITERION_9_FROZEN}
+    for a in GEOMETRY_ALPHAS:
+        g = cc.cavity_geometry(1.0, a)
+        anchors[f"geometry omega1 alpha={a}"] = g.omega1.hex()
+        anchors[f"geometry xi alpha={a}"] = [None if xi is None else xi.hex()
+                                             for xi in (g.xi_minus, g.xi_plus)]
     rate = cc.decay_rate_accelerated_longtime(cc.cavity_geometry(1.0, 0.5), FieldParams(1.0))
     anchors["scaled overlap alpha=0.5"] = rate.diagnostics["scaled_overlap"].hex()
     p = cc.decay_probability_accelerated(cc.cavity_geometry(1.0, 0.5), FieldParams(1.0), 5.0)

@@ -76,7 +76,9 @@ class CavityGeometry:
     xi_-+, derived once by cavity_geometry.  At rest (alpha = 0) omega1 = pi/l
     and xi_-+ = -+l/2.  For alpha > 0 the walls sit at lab positions
     sigma_-+ = 1/alpha -+ l/2 at t = 0, xi_-+ = ln(alpha sigma_-+)/alpha and
-    omega1 = alpha pi / ln(sigma_+/sigma_-)."""
+    omega1 = alpha pi / ln(sigma_+/sigma_-), taken in the closed forms
+    xi_-+ = log1p(-+alpha l/2)/alpha and ln(sigma_+/sigma_-) = 2 atanh(alpha l/2),
+    which keep full precision as alpha l -> 0."""
 
     l: float
     alpha: float
@@ -99,11 +101,10 @@ def cavity_geometry(l: float, alpha: float) -> CavityGeometry:
     if alpha == 0.0:
         omega1, xi_minus, xi_plus = math.pi / l, -0.5 * l, 0.5 * l
     else:
-        sigma_minus, sigma_plus = 1.0 / alpha - 0.5 * l, 1.0 / alpha + 0.5 * l
-        h = math.log(sigma_plus / sigma_minus)
+        half = 0.5 * alpha * l
+        h = 2.0 * math.atanh(half)
         omega1 = alpha * math.pi / h if h > 0.0 else math.inf
-        xi_minus = math.log(alpha * sigma_minus) / alpha
-        xi_plus = math.log(alpha * sigma_plus) / alpha
+        xi_minus, xi_plus = math.log1p(-half) / alpha, math.log1p(half) / alpha
     if not omega1 < math.inf:
         raise ValueError(f"omega1 is not finite at l = {l!r}, alpha = {alpha!r}")
     return CavityGeometry(l, alpha, omega1, xi_minus, xi_plus)

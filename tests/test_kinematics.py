@@ -119,6 +119,20 @@ class TestCavityGeometry:
         # the lowest mode sin(omega1 (xi - xi_-)) vanishes on both walls
         assert g.omega1 * (g.xi_plus - g.xi_minus) == pytest.approx(math.pi, rel=1e-14)
 
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-12, 1e-300, 0.1, 1.9])
+    def test_closed_forms_against_mpmath(self, alpha):
+        # the definitions ln(sigma_+/sigma_-) and ln(alpha sigma_-+)/alpha in
+        # enough digits to resolve 1/alpha -+ l/2, against the closed forms
+        mp = pytest.importorskip("mpmath").mp
+        g = cavity_geometry(1.0, alpha)
+        with mp.workdps(340):
+            a = mp.mpf(alpha)
+            sigma_minus, sigma_plus = 1 / a - mp.mpf(0.5), 1 / a + mp.mpf(0.5)
+            ref = [a * mp.pi / mp.log(sigma_plus / sigma_minus),
+                   mp.log(a * sigma_minus) / a, mp.log(a * sigma_plus) / a]
+            for got, want in zip((g.omega1, g.xi_minus, g.xi_plus), ref):
+                assert float(abs(got / want - 1)) <= 2.3e-16, (got, float(want))
+
     def test_alpha_to_zero_limit(self):
         for alpha in [1e-3, 1e-5]:
             g = cavity_geometry(1.0, alpha)
