@@ -45,7 +45,8 @@ class DecayResult:
 
     def __post_init__(self):
         if not (math.isfinite(self.value) and math.isfinite(self.error_estimate)):
-            raise OverflowError(f"{self.kind} {self.value!r} +- {self.error_estimate!r} is not finite")
+            raise OverflowError(f"{self.kind} {self.value!r} +- {self.error_estimate!r} "
+                                "is not finite")
 
 
 def classify_regime(duration: float, detuning_scale: float) -> str:

@@ -387,10 +387,12 @@ _BRANCHES = ((BesselMethod.POWER_SERIES, _k0_rows), (BesselMethod.POWER_SERIES, 
              (BesselMethod.INTEGRAL_REPRESENTATION, _contour_rows))
 
 
-# the domain of the row kernel and the scalar front end: there the squares of
-# x, nu and x -+ nu, nu/x and ln(x/2) stay finite, and so does the contour
-# rule, which gives inf from about nu = 4e18 at x = 1e34 (a scan of nu and x)
-_NU_MAX, _X_MIN, _X_MAX = 1e17, 1e-280, 1e150
+# the domain of the row kernel and the scalar front end: x >= 1e-320, where
+# ln(x/2) stays finite, and from the Debye form's order 60 also x >= 1e-308 nu,
+# where nu/x does; nu <= 1e17 and x <= 1e150, where the squares of x, nu and
+# x -+ nu stay finite, and so does the contour rule, which gives inf from about
+# nu = 4e18 at x = 1e34 (a scan of nu and x)
+_NU_MAX, _X_MIN, _X_MAX = 1e17, 1e-320, 1e150
 
 
 def _check_domain(nu: np.ndarray, x: np.ndarray) -> None:
@@ -398,10 +400,11 @@ def _check_domain(nu: np.ndarray, x: np.ndarray) -> None:
     x_lo, x_hi, nu_hi = x.min(initial=math.inf), x.max(initial=0.0), nu.max(initial=0.0)
     if not x_lo > 0.0:
         raise ValueError("x must be positive")
-    if not (nu_hi <= _NU_MAX and _X_MIN <= x_lo and x_hi <= _X_MAX):
+    if not (nu_hi <= _NU_MAX and _X_MIN <= x_lo and x_hi <= _X_MAX
+            and (nu_hi < 60.0 or 1e-308 * nu_hi <= x_lo)):
         raise SpecialFunctionRangeError(
             f"K_(i nu)(x) at nu up to {nu_hi:.3g}, x in [{x_lo:.3g}, {x_hi:.3g}]: outside "
-            f"nu <= {_NU_MAX:.0e}, {_X_MIN:.0e} <= x <= {_X_MAX:.0e}")
+            f"nu <= {_NU_MAX:.0e}, {_X_MIN:.0e} <= x <= {_X_MAX:.0e} (x >= 1e-308 nu from 60)")
 
 
 def bessel_k_scaled_rows(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -545,8 +548,9 @@ def resonance_kernel(x, t):
         raise ValueError("duration t must be nonnegative")
     x = np.asarray(x, dtype=float)
     u = 0.5 * x * t
-    tiny = np.abs(u) < 1e-8  # series limit; also dodges subnormal squaring
+    # the limit t^2/4 (1 - u^2/3), which rounds to t^2/4; also dodges subnormal squaring
+    tiny = np.abs(u) < 1e-8
     safe = np.where(tiny, 1.0, x)
     s = np.sin(u)
-    out = np.where(tiny, 0.25 * t * t * (1.0 - u * u / 3.0), (s * s) / (safe * safe))
+    out = np.where(tiny, 0.25 * t * t, (s * s) / (safe * safe))
     return out if out.ndim else float(out)

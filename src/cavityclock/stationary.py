@@ -39,11 +39,10 @@ def _integrand_scaled(u: np.ndarray, m: float, ts: float) -> np.ndarray:
     through sinc with no 0/0."""
     u = np.asarray(u, dtype=float)
     om = np.hypot(u, m)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN past double range
-        ker = resonance_kernel(om - math.pi, ts)
-        half = 0.5 * (u - math.pi)
-        sinc = np.sinc(half / math.pi)
-        return 0.25 * sinc * sinc * ker / ((u + math.pi) ** 2 * om)
+    ker = resonance_kernel(om - math.pi, ts)
+    half = 0.5 * (u - math.pi)
+    sinc = np.sinc(half / math.pi)
+    return 0.25 * sinc * sinc * ker / ((u + math.pi) ** 2 * om)
 
 
 def _cutoff(m: float, ts: float, abs_tol_scaled: float) -> float:
@@ -69,6 +68,8 @@ def decay_probability_stationary(geometry: CavityGeometry, fields: FieldParams,
     l, M, lam = geometry.l, fields.M, fields.lam
     regime = classify_regime(t, math.pi / l - M)
     ts = t / l
+    if not ts < math.inf:
+        raise OverflowError(f"t / l = {t!r} / {l!r} overflows")
     if ts == 0.0 or lam == 0.0:  # also where t / l underflows
         return DecayResult(0.0, "probability", 0.0, regime, {"evaluations": 0})
 
@@ -85,8 +86,9 @@ def decay_probability_stationary(geometry: CavityGeometry, fields: FieldParams,
         u_res = math.sqrt(math.pi**2 - m * m)
         resonances = ((u_res, (2.0 * math.pi / ts) * (math.pi / u_res)),)
 
-    res = integrate(lambda u: _integrand_scaled(u, m, ts), 0.0, uc,
-                    unit, singular=(math.pi,), resonances=resonances)
+    with np.errstate(over="ignore", invalid="ignore"):  # integrate() refuses inf and NaN
+        res = integrate(lambda u: _integrand_scaled(u, m, ts), 0.0, uc,
+                        unit, singular=(math.pi,), resonances=resonances)
     lam2 = lam * lam
     return DecayResult(lam2 * scale * res.value, "probability",
                        lam2 * scale * res.error_estimate, regime,

@@ -120,10 +120,11 @@ class TestValidationBoundary:
         ["--rel-tol", "inf"], ["--abs-tol", "nan"],
     ], ids=["lambda nan", "l nan", "l inf", "mass inf", "rel-tol inf", "abs-tol nan"])
     def test_non_finite_parameter_refused(self, args):
-        argv = {"--l": "1", "--mass": "1", **dict([args])}
+        flags = {"--l": "1", "--mass": "1", **dict([args])}
+        argv = ["stationary", "--rate", *[a for kv in flags.items() for a in kv]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(["stationary", "--rate", *[a for kv in argv.items() for a in kv]])
+            code, out, err = run_cli(argv)
         assert code == EXIT_VALIDATION and out == ""
         assert err.startswith("invalid parameters: ") and err.count("\n") == 1
         assert "finite" in err
@@ -137,8 +138,12 @@ class TestValidationBoundary:
          EXIT_NUMERICAL),
         (["stationary", "--l", "1e-300", "--mass", "1", "--time", "1"], EXIT_NUMERICAL),
         (["stationary", "--l", "1", "--mass", "2.2e-308", "--rate"], EXIT_NUMERICAL),
+        (["stationary", "--l", "1e-10", "--mass", "1", "--time", "1e300"], EXIT_NUMERICAL),
+        (["stationary", "--l", "0.7", "--mass", "5e-324", "--time", "5"], EXIT_NUMERICAL),
+        (["accelerated", "--l", "1", "--mass", "1", "--alpha", "1e-300", "--rate"], EXIT_NUMERICAL),
     ], ids=["rate overflows", "mass inf", "alpha nan", "stationary time 1e300",
-            "accelerated time 1e300", "l^4 underflows", "rate ~ 1/M^4 overflows"])
+            "accelerated time 1e300", "l^4 underflows", "rate ~ 1/M^4 overflows",
+            "t / l overflows", "integrand ~ 1/M overflows", "order past the kernel's domain"])
     def test_exit_codes(self, argv, code):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -650,14 +650,16 @@ class TestDomain:
     it every branch gives finite values and estimates without a floating
     point warning, outside it the call is refused."""
 
-    # the corners of the domain and the branch edges next to them
-    INSIDE = [(0.0, _X_MIN), (0.0, 1.0), (0.0, _X_MAX), (1e-9, _X_MIN), (59.9, _X_MIN),
-              (60.0, _X_MIN), (150.0, 149.9), (1e4, _X_MAX), (_NU_MAX, _X_MIN),
-              (_NU_MAX, 0.5 * _NU_MAX), (_NU_MAX, _NU_MAX), (_NU_MAX, 1e34), (_NU_MAX, _X_MAX)]
+    # the corners of the domain and the branch edges next to them; from order
+    # 60 the smallest argument is 1e-308 nu
+    INSIDE = [(0.0, _X_MIN), (0.0, 1.0), (0.0, _X_MAX), (1e-9, _X_MIN), (6.15, _X_MIN),
+              (59.9, _X_MIN), (60.0, 6.1e-307), (150.0, 149.9), (1e4, _X_MAX),
+              (_NU_MAX, 2e-291), (_NU_MAX, 0.5 * _NU_MAX), (_NU_MAX, _NU_MAX),
+              (_NU_MAX, 1e34), (_NU_MAX, _X_MAX)]
 
     @pytest.mark.parametrize("nu, x", INSIDE)
     def test_inside_finite_without_warning(self, nu, x):
-        xs = np.array([[x, x * (1.0 - 1e-3)]]) if x > _X_MIN else np.array([[x, 2.0 * x]])
+        xs = np.array([[x, x * (1.0 - 1e-3)]]) if x == _X_MAX else np.array([[x, 2.0 * x]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals, worst = bessel_k_scaled_rows(np.array([nu]), xs)
@@ -667,7 +669,7 @@ class TestDomain:
 
     @pytest.mark.parametrize("nu, x", [
         (math.nextafter(_NU_MAX, math.inf), 1.0), (3e300, 1e300), (math.inf, 1.0),
-        (math.nan, 1.0), (1.0, math.nextafter(_X_MIN, 0.0)), (1.0, 5e-324),
+        (math.nan, 1.0), (1.0, math.nextafter(_X_MIN, 0.0)), (1.0, 5e-324), (60.0, 5e-307),
         (1.0, math.nextafter(_X_MAX, math.inf)), (1.0, math.inf)])
     def test_outside_refused(self, nu, x):
         with warnings.catch_warnings():
