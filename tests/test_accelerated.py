@@ -306,13 +306,9 @@ class TestAveraging:
             AveragingWindow(1.0, relative_halfwidth=1.0)
         with pytest.raises(ValueError):
             AveragingWindow(1.0, samples=4)
-        with pytest.raises(ValueError):
-            AveragingWindow(-1.0)
-
-    @pytest.mark.parametrize("center", [math.nan, math.inf])
-    def test_window_non_finite_center_refused(self, center):
-        with pytest.raises(ValueError, match="center_alpha must be positive and finite"):
-            AveragingWindow(center)
+        for center in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="center_alpha must be positive and finite"):
+                AveragingWindow(center)
 
     def test_degenerate_window_approaches_pointwise(self):
         g = cavity_geometry(1.0, 0.3)

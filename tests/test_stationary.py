@@ -123,19 +123,12 @@ class TestLongtimeRate:
 
 class TestFieldParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FieldParams(M=0.0)
-        with pytest.raises(ValueError):
-            FieldParams(M=-1.0)
-        with pytest.raises(ValueError):
-            FieldParams(M=1.0, lam=-0.1)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_refused(self, value):
-        with pytest.raises(ValueError, match="M must be positive and finite"):
-            FieldParams(M=value)
-        with pytest.raises(ValueError, match="lam must be finite"):
-            FieldParams(M=1.0, lam=value)
+        for value in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="M must be positive and finite"):
+                FieldParams(M=value)
+        for value in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+                FieldParams(M=1.0, lam=value)
 
 
 class TestDecayResult:
